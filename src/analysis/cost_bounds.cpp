@@ -50,12 +50,13 @@ analyzeSingle(const compiler::Program &p)
     double memUpper = 0.0;      // worst-case memory cycles
     for (u64 i = 0; i < p.code.size(); ++i) {
         const compiler::BcInst &inst = p.code[i];
+        const compiler::CostRow &c = p.cost(inst);
         const double w = weight[i];
-        computeTotal += (inst.computeCycles + inst.fillCycles) * w;
+        computeTotal += (c.computeCycles + p.fillCycles) * w;
         if (inst.kind == compiler::BcKind::Stream) {
-            streamedBytes += inst.staticFetchBytes * w;
-            memLower += inst.staticMemCycles * w;
-            memUpper += inst.staticMemCycles * w;
+            streamedBytes += c.staticFetchBytes * w;
+            memLower += c.staticMemCycles * w;
+            memUpper += c.staticMemCycles * w;
         }
     }
 

@@ -108,7 +108,7 @@ cfgFromProgram(const compiler::Program &p)
                    << "' has no single instruction stream; recover a CFG "
                       "per part");
     Cfg cfg;
-    cfg.phaseNames = p.phaseNames;
+    cfg.phaseNames.assign(p.phaseNames.begin(), p.phaseNames.end());
     const u64 n = p.code.size();
     if (n == 0)
         return cfg;

@@ -6,6 +6,9 @@
 #include "baselines/sharp_perf.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "trace/trace.h"
 
 namespace ufc {
 namespace baselines {
@@ -111,6 +114,24 @@ double
 SharpPerf::scratchpadBytes() const
 {
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
+}
+
+u64
+SharpPerf::digest() const
+{
+    using trace::detail::mix64;
+    const auto bits = [](double v) { return std::bit_cast<u64>(v); };
+    u64 h = trace::detail::kFnvOffset;
+    mix64(h, 0x53484150u); // "SHAP": the cost expressions above
+    mix64(h, bits(cfg_.nttWordsPerCycle));
+    mix64(h, static_cast<u64>(cfg_.nttPipelineLogN));
+    mix64(h, bits(cfg_.bconvMacsPerCycle));
+    mix64(h, bits(cfg_.elewWordsPerCycle));
+    mix64(h, bits(cfg_.nocWordsPerCycle));
+    mix64(h, bits(hbmBytesPerCycle()));
+    mix64(h, bits(scratchpadBytes()));
+    mix64(h, bits(pipelineFillCycles()));
+    return h;
 }
 
 } // namespace baselines

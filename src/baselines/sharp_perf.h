@@ -63,6 +63,7 @@ class SharpPerf : public sim::MachinePerf
     double nocCycles(const isa::HwInst &inst) const override;
     double hbmBytesPerCycle() const override;
     double scratchpadBytes() const override;
+    u64 digest() const override;
 
   private:
     SharpConfig cfg_;

@@ -6,6 +6,9 @@
 #include "baselines/strix_perf.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "trace/trace.h"
 
 #include "common/error.h"
 
@@ -111,6 +114,25 @@ double
 StrixPerf::scratchpadBytes() const
 {
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
+}
+
+u64
+StrixPerf::digest() const
+{
+    using trace::detail::mix64;
+    const auto bits = [](double v) { return std::bit_cast<u64>(v); };
+    u64 h = trace::detail::kFnvOffset;
+    mix64(h, 0x53545258u); // "STRX": the cost expressions above
+    mix64(h, static_cast<u64>(cfg_.butterflies));
+    mix64(h, static_cast<u64>(cfg_.designLogN));
+    mix64(h, static_cast<u64>(cfg_.maxLogN));
+    mix64(h, bits(cfg_.macWordsPerCycle));
+    mix64(h, bits(cfg_.pipelineEff));
+    mix64(h, bits(cfg_.lweWordsPerCycle));
+    mix64(h, bits(hbmBytesPerCycle()));
+    mix64(h, bits(scratchpadBytes()));
+    mix64(h, bits(pipelineFillCycles()));
+    return h;
 }
 
 } // namespace baselines

@@ -70,6 +70,7 @@ class StrixPerf : public sim::MachinePerf
     double nocCycles(const isa::HwInst &inst) const override;
     double hbmBytesPerCycle() const override;
     double scratchpadBytes() const override;
+    u64 digest() const override;
 
   private:
     StrixConfig cfg_;

@@ -91,15 +91,11 @@ fuseKindName(FuseKind kind)
     return "unknown";
 }
 
-ProgramBuilder::ProgramBuilder(const sim::MachinePerf *perf, Program *out)
-    : perf_(perf), out_(out)
+ProgramBuilder::ProgramBuilder(Program *out)
+    : out_(out), code_(out->code.edit()), bufs_(out->bufs.edit()),
+      events_(out->phaseEvents.edit()), shapes_(out->shapes.edit()),
+      shapeIdx_(512, 0)
 {
-    out_->hbmBytesPerCycle = perf_->hbmBytesPerCycle();
-    out_->scratchpadBytes = perf_->scratchpadBytes();
-    // Per-machine constants, hoisted out of the per-instruction path
-    // (issue() runs a few hundred thousand times per compile).
-    fillCycles_ = perf_->pipelineFillCycles();
-    hbmBpc_ = out_->hbmBytesPerCycle;
 }
 
 u32
@@ -113,18 +109,63 @@ ProgramBuilder::slotFor(u64 id)
     return slot;
 }
 
+namespace {
+
+u64
+shapeHash(const CostShape &s)
+{
+    u64 h = trace::detail::kFnvOffset;
+    trace::detail::mix64(h, std::bit_cast<u64>(s.staticFetchBytes));
+    trace::detail::mix64(h, s.words ^ (s.work << 1));
+    trace::detail::mix64(h, (static_cast<u64>(s.logDegree) << 40) ^
+                                (static_cast<u64>(s.batch) << 8) ^ s.op);
+    return h;
+}
+
+} // namespace
+
+u32
+ProgramBuilder::shapeFor(const CostShape &shape)
+{
+    // Runs once per issued instruction against a table of a few hundred
+    // shapes: open addressing over a flat array keeps it a hash and one
+    // or two compares.
+    size_t mask = shapeIdx_.size() - 1;
+    size_t i = static_cast<size_t>(shapeHash(shape)) & mask;
+    while (shapeIdx_[i] != 0) {
+        if (shapes_[shapeIdx_[i] - 1] == shape)
+            return shapeIdx_[i] - 1;
+        i = (i + 1) & mask;
+    }
+    const u32 id = static_cast<u32>(shapes_.size());
+    shapes_.push_back(shape);
+    shapeIdx_[i] = id + 1;
+    if (2 * shapes_.size() > shapeIdx_.size()) {
+        std::vector<u32> grown(2 * shapeIdx_.size(), 0);
+        mask = grown.size() - 1;
+        for (u32 k = 0; k < shapes_.size(); ++k) {
+            size_t j = static_cast<size_t>(shapeHash(shapes_[k])) & mask;
+            while (grown[j] != 0)
+                j = (j + 1) & mask;
+            grown[j] = k + 1;
+        }
+        shapeIdx_.swap(grown);
+    }
+    return id;
+}
+
 void
 ProgramBuilder::issue(const isa::HwInst &inst)
 {
     BcInst b;
-    // Pure functions of (inst, const machine config): the values the IR
-    // engine would compute at issue time, captured once.
-    b.computeCycles = perf_->computeCycles(inst);
-    b.busyLaneCycles = b.computeCycles * perf_->laneFraction(inst);
-    b.nocCycles = perf_->nocCycles(inst);
-    b.fillCycles = fillCycles_;
-    b.op = static_cast<u8>(inst.op);
-    b.resource = static_cast<u8>(perf_->resourceFor(inst));
+    // Everything a MachinePerf reads from the instruction; the cost
+    // terms themselves are evaluated per shape by costProgram().
+    CostShape shape;
+    shape.op = static_cast<u8>(inst.op);
+    shape.logDegree = inst.logDegree;
+    shape.batch = inst.batch;
+    shape.words = inst.words;
+    shape.work = inst.work;
 
     bool cached = false;
     for (const auto &ref : inst.buffers) {
@@ -136,21 +177,20 @@ ProgramBuilder::issue(const isa::HwInst &inst)
 
     if (!cached) {
         // No scratchpad interaction: the whole memory phase folds into
-        // two constants.  Transient refs contribute exactly nothing in
-        // the IR engine (access() returns 0, hit accounting excludes
-        // them), and the streamed-bytes sum keeps operand order, so the
-        // compile-time accumulation is bit-identical to the runtime one.
+        // the shape's streamed-bytes constant.  Transient refs contribute
+        // exactly nothing in the IR engine (access() returns 0, hit
+        // accounting excludes them), and the streamed-bytes sum keeps
+        // operand order, so the compile-time accumulation is
+        // bit-identical to the runtime one.
         b.kind = BcKind::Stream;
         double fetch = 0.0;
         for (const auto &ref : inst.buffers)
             if (!ref.transient)
                 fetch += static_cast<double>(ref.bytes);
-        b.staticFetchBytes = fetch;
-        // Same division the engine performs (not a multiply-by-inverse).
-        b.staticMemCycles = fetch / hbmBpc_;
+        shape.staticFetchBytes = fetch;
     } else {
         b.kind = BcKind::Mem;
-        b.bufBegin = static_cast<u32>(out_->bufs.size());
+        b.bufBegin = static_cast<u32>(bufs_.size());
         u32 count = 0;
         for (const auto &ref : inst.buffers) {
             if (ref.transient)
@@ -164,7 +204,7 @@ ProgramBuilder::issue(const isa::HwInst &inst)
             buf.streamed = ref.streaming;
             if (!ref.streaming)
                 buf.slot = slotFor(ref.id);
-            out_->bufs.push_back(buf);
+            bufs_.push_back(buf);
             ++count;
         }
         UFC_EXPECT(count <= 0xffff, ConfigError,
@@ -172,10 +212,8 @@ ProgramBuilder::issue(const isa::HwInst &inst)
                        << " operand buffers exceeds the bytecode limit");
         b.bufCount = static_cast<u16>(count);
     }
-
-    out_->code.push_back(b);
-    out_->debug.push_back(
-        BcDebug{inst.logDegree, inst.batch, inst.words, inst.work});
+    b.shape = shapeFor(shape);
+    code_.push_back(b);
 }
 
 void
@@ -188,18 +226,16 @@ ProgramBuilder::beginPhase(const char *name)
         idx = it->second;
     } else {
         idx = static_cast<u32>(out_->phaseNames.size());
-        out_->phaseNames.push_back(key);
+        out_->phaseNames.edit().push_back(key);
         phaseNameIdx_.emplace(key, idx);
     }
-    out_->phaseEvents.push_back(
-        PhaseEvent{out_->code.size(), static_cast<i32>(idx)});
+    events_.push_back(PhaseEvent{code_.size(), static_cast<i32>(idx)});
 }
 
 void
 ProgramBuilder::endPhase()
 {
-    out_->phaseEvents.push_back(
-        PhaseEvent{out_->code.size(), PhaseEvent::kEnd});
+    events_.push_back(PhaseEvent{code_.size(), PhaseEvent::kEnd});
 }
 
 bool
@@ -211,8 +247,8 @@ ProgramBuilder::beginRepeat(u64 trips)
         return false;
     repeatOpen_ = true;
     repeatTrips_ = trips;
-    repeatStart_ = out_->code.size();
-    repeatEvents_ = out_->phaseEvents.size();
+    repeatStart_ = code_.size();
+    repeatEvents_ = events_.size();
     return true;
 }
 
@@ -221,19 +257,19 @@ ProgramBuilder::endRepeat()
 {
     UFC_EXPECT(repeatOpen_, ConfigError,
                "endRepeat without a matching accepted beginRepeat");
-    UFC_EXPECT(out_->phaseEvents.size() == repeatEvents_, ConfigError,
+    UFC_EXPECT(events_.size() == repeatEvents_, ConfigError,
                "phase markers inside a folded repeat body (inst#"
                    << repeatStart_ << "): the marker would fire once but "
                       "the body executes " << repeatTrips_ << " times");
     repeatOpen_ = false;
 
-    const u64 end = out_->code.size();
+    const u64 end = code_.size();
     if (end == repeatStart_)
         return; // empty body: repeating nothing is nothing
 
     bool pure = true;
     for (u64 i = repeatStart_; i < end; ++i) {
-        if (out_->code[i].kind != BcKind::Stream) {
+        if (code_[i].kind != BcKind::Stream) {
             pure = false;
             break;
         }
@@ -241,15 +277,12 @@ ProgramBuilder::endRepeat()
     if (!pure) {
         // A body with cached operands has LRU-dependent memory cost, so
         // a structural loop would diverge from the unrolled stream.
-        // Unroll here instead: BcInst/BcDebug records are value types
-        // and copies may share the (read-only) BcBuf ranges.
+        // Unroll here instead: BcInst records are value types and
+        // copies may share the (read-only) BcBuf ranges.
         const u64 bodyLen = end - repeatStart_;
-        for (u64 t = 1; t < repeatTrips_; ++t) {
-            for (u64 i = 0; i < bodyLen; ++i) {
-                out_->code.push_back(out_->code[repeatStart_ + i]);
-                out_->debug.push_back(out_->debug[repeatStart_ + i]);
-            }
-        }
+        for (u64 t = 1; t < repeatTrips_; ++t)
+            for (u64 i = 0; i < bodyLen; ++i)
+                code_.push_back(code_[repeatStart_ + i]);
         return;
     }
 
@@ -257,17 +290,17 @@ ProgramBuilder::endRepeat()
     lp.end = end;
     lp.bodyLen = static_cast<u32>(end - repeatStart_);
     lp.trips = repeatTrips_;
-    out_->loops.push_back(lp); // emission order keeps `loops` sorted
+    out_->loops.edit().push_back(lp); // emission order keeps it sorted
 }
 
 /**
  * Digest of everything that determines how code[begin, end) executes on
- * this Program's machine: the pre-computed cost terms, the packed flag
- * fields, Mem operand records (slot/bytes/flags — buffer ids are
- * diagnostics only and deliberately excluded), and the loop rows inside
- * the segment with `end` re-based to the segment so position in the
- * program does not matter.  Doubles are hashed by bit pattern; BcInst is
- * never hashed as raw memory (it has tail padding).
+ * this Program's machine: the cost terms (read through the cost table),
+ * the packed flag fields, Mem operand records (slot/bytes/flags — buffer
+ * ids are diagnostics only and deliberately excluded), and the loop rows
+ * inside the segment with `end` re-based to the segment so position in
+ * the program does not matter.  Doubles are hashed by bit pattern;
+ * records are never hashed as raw memory (they have padding).
  */
 u64
 segmentContentHash(const Program &p, u64 begin, u64 end)
@@ -277,23 +310,24 @@ segmentContentHash(const Program &p, u64 begin, u64 end)
     u64 h = trace::detail::kFnvOffset;
     mix64(h, bits(p.hbmBytesPerCycle));
     mix64(h, bits(p.scratchpadBytes));
+    mix64(h, bits(p.fillCycles));
     mix64(h, static_cast<u64>(p.spadSlots));
     mix64(h, end - begin);
     for (u64 i = begin; i < end; ++i) {
         const BcInst &b = p.code[static_cast<size_t>(i)];
+        const CostRow &c = p.cost(b);
         // Fold the instruction's fields into one word with position-
         // distinguishing rotations, then apply a single strong mix:
-        // this runs for every instruction of every phase region on
-        // every compile, and per-field mixing tripled compile time.
-        u64 acc = bits(b.computeCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.busyLaneCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.nocCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.fillCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.staticFetchBytes);
-        acc = std::rotl(acc, 9) ^ bits(b.staticMemCycles);
+        // per-field mixing over every instruction of every region
+        // tripled the hashing time.
+        u64 acc = bits(c.computeCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.busyLaneCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.nocCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.staticFetchBytes);
+        acc = std::rotl(acc, 9) ^ bits(c.staticMemCycles);
         acc = std::rotl(acc, 9) ^ ((static_cast<u64>(b.runLen) << 24) |
-                                   (static_cast<u64>(b.op) << 16) |
-                                   (static_cast<u64>(b.resource) << 8) |
+                                   (static_cast<u64>(c.op) << 16) |
+                                   (static_cast<u64>(c.resource) << 8) |
                                    (static_cast<u64>(b.kind) << 4) |
                                    static_cast<u64>(b.fuse));
         mix64(h, acc);
@@ -331,6 +365,7 @@ namespace {
 void
 computeSegments(Program &p)
 {
+    std::vector<PhaseSegment> &segments = p.segments.edit();
     int depth = 0;
     u64 openInst = 0;
     i32 openName = PhaseEvent::kEnd;
@@ -338,7 +373,7 @@ computeSegments(Program &p)
         if (ev.name == PhaseEvent::kEnd) {
             if (depth > 0 && --depth == 0 && ev.inst > openInst &&
                 ev.inst - openInst >= kMinSegmentInsts) {
-                p.segments.push_back(
+                segments.push_back(
                     PhaseSegment{openInst, ev.inst, openName});
             }
         } else {
@@ -370,7 +405,7 @@ namespace {
  *  open-phase stack wins over the generic tag. */
 FuseKind
 classifyRun(const std::vector<i32> &stack,
-            const std::vector<std::string> &names)
+            const SharedArray<std::string> &names)
 {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
         const std::string &name = names[static_cast<size_t>(*it)];
@@ -387,8 +422,8 @@ classifyRun(const std::vector<i32> &stack,
 void
 ProgramBuilder::fuse()
 {
-    auto &code = out_->code;
-    const auto &events = out_->phaseEvents;
+    auto &code = code_;
+    const auto &events = events_;
 
     // boundary[i] == a phase marker fires immediately before inst i, or
     // a folded loop starts/ends there (the executor's loop-back check
@@ -438,8 +473,8 @@ ProgramBuilder::fuse()
 namespace {
 
 /** Sizing pre-pass: counts the records the real lowering will emit so
- *  the Program vectors can be reserved exactly — growth reallocations
- *  (copy + fresh-page faults) otherwise dominate compile time.  Accepts
+ *  the body's vectors can be reserved exactly — growth reallocations
+ *  (copy + fresh-page faults) otherwise cost more than this pass.  Accepts
  *  repeat folds like the builder, so folded bodies are counted once. */
 struct SizingSink final : isa::InstSink
 {
@@ -472,15 +507,62 @@ struct SizingSink final : isa::InstSink
 
 } // namespace
 
+void
+costProgram(Program &p, const sim::MachinePerf &perf,
+            const std::string &machineName)
+{
+    p.machine = machineName;
+    p.machineDigest = perf.digest();
+    p.hbmBytesPerCycle = perf.hbmBytesPerCycle();
+    p.scratchpadBytes = perf.scratchpadBytes();
+    p.fillCycles = perf.pipelineFillCycles();
+    p.costs.clear();
+    p.costs.reserve(p.shapes.size());
+    isa::HwInst inst; // no operands: no MachinePerf reads them
+    for (const CostShape &s : p.shapes) {
+        inst.op = static_cast<isa::HwOp>(s.op);
+        inst.logDegree = s.logDegree;
+        inst.batch = s.batch;
+        inst.words = s.words;
+        inst.work = s.work;
+        // The IR engine's issue-time expressions, once per shape.
+        CostRow c;
+        c.computeCycles = perf.computeCycles(inst);
+        c.busyLaneCycles = c.computeCycles * perf.laneFraction(inst);
+        c.nocCycles = perf.nocCycles(inst);
+        // Same division the engine performs (not a multiply-by-inverse).
+        c.staticFetchBytes = s.staticFetchBytes;
+        c.staticMemCycles = s.staticFetchBytes / p.hbmBytesPerCycle;
+        c.resource = static_cast<u8>(perf.resourceFor(inst));
+        c.op = s.op;
+        p.costs.push_back(c);
+    }
+}
+
+Program
+recost(const Program &lowered, const sim::MachinePerf &perf,
+       const std::string &machineName)
+{
+    UFC_EXPECT(!lowered.composed(), ConfigError,
+               "recost: composed Program '"
+                   << lowered.workload
+                   << "' has no single lowered body; re-cost each part");
+    Program p;
+    static_cast<LoweredBody &>(p) = lowered; // shares every array
+    p.workload = lowered.workload;
+    p.traceHash = lowered.traceHash;
+    costProgram(p, perf, machineName);
+    return p;
+}
+
 Program
 compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
              const sim::MachinePerf &perf, const std::string &machineName,
-             analysis::DiagnosticReport *lint)
+             analysis::DiagnosticReport *lint, u64 traceHash)
 {
     Program p;
     p.workload = tr.name;
-    p.machine = machineName;
-    p.traceHash = trace::contentHash(tr);
+    p.traceHash = traceHash != 0 ? traceHash : trace::contentHash(tr);
     {
         // No lint and no cost model on the sizing pass; the verifying
         // pass below sees the identical stream.  The counts are a
@@ -492,16 +574,16 @@ compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
         sopts.lint = nullptr;
         Lowering presize(&tr, sopts, &sizing);
         presize.run();
-        p.code.reserve(sizing.insts);
-        p.debug.reserve(sizing.insts);
-        p.bufs.reserve(sizing.bufs);
+        p.code.edit().reserve(sizing.insts);
+        p.bufs.edit().reserve(sizing.bufs);
     }
-    ProgramBuilder builder(&perf, &p);
+    ProgramBuilder builder(&p);
     LoweringOptions lopts = opts;
     lopts.lint = lint;
     Lowering lowering(&tr, lopts, &builder);
     lowering.run();
     builder.finish();
+    costProgram(p, perf, machineName);
     return p;
 }
 
@@ -519,8 +601,10 @@ class StreamingCompileSink final : public trace::TraceSink
   public:
     StreamingCompileSink(Program *out, const LoweringOptions &opts,
                          const sim::MachinePerf &perf,
+                         const std::string &machineName,
                          const StreamOpCheck &opCheck)
-        : out_(out), opts_(opts), builder_(&perf, out),
+        : out_(out), opts_(opts), perf_(perf), machineName_(machineName),
+          builder_(out),
           opCheck_(opCheck)
     {
     }
@@ -592,6 +676,7 @@ class StreamingCompileSink final : public trace::TraceSink
         }
         lowering_->finishStream();
         builder_.finish();
+        costProgram(*out_, perf_, machineName_);
         out_->workload = header_.name;
         hasher_.header(header_);
         out_->traceHash = hasher_.finish();
@@ -626,6 +711,8 @@ class StreamingCompileSink final : public trace::TraceSink
 
     Program *out_;
     LoweringOptions opts_;
+    const sim::MachinePerf &perf_;
+    std::string machineName_;
     ProgramBuilder builder_;
     StreamOpCheck opCheck_;
     trace::Trace header_; ///< header fields only (ops/phases empty)
@@ -648,10 +735,9 @@ compileTraceStream(std::istream &is, const LoweringOptions &opts,
     UFC_EXPECT(chunkBytes > 0, ConfigError,
                "compileTraceStream: chunkBytes must be positive");
     Program p;
-    p.machine = machineName;
     LoweringOptions lopts = opts;
     lopts.lint = lint;
-    StreamingCompileSink sink(&p, lopts, perf, opCheck);
+    StreamingCompileSink sink(&p, lopts, perf, machineName, opCheck);
     trace::TraceReader reader(&sink);
     std::vector<char> chunk(chunkBytes);
     while (!reader.done() && is) {
@@ -756,8 +842,8 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
                 std::ostringstream os;
                 os << "loop#" << li << " [" << start << ", " << lp.end
                    << ") body contains inst#" << k << " ("
-                   << isa::opName(
-                          static_cast<isa::HwOp>(program.code[k].op))
+                   << isa::opName(static_cast<isa::HwOp>(
+                          program.shape(program.code[k]).op))
                    << ") with a cached scratchpad operand";
                 addFinding(out, "bc-loop-invariant",
                            static_cast<std::ptrdiff_t>(k), os.str(),
@@ -807,7 +893,7 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
                 os << "fused run [" << i << ", " << end << ") contains "
                    << "inst#" << k << " ("
                    << isa::opName(static_cast<isa::HwOp>(
-                          program.code[k].op))
+                          program.shape(program.code[k]).op))
                    << ") with a cached scratchpad operand";
                 addFinding(out, "bc-fuse-cached-operand",
                            static_cast<std::ptrdiff_t>(i), os.str(),
@@ -858,7 +944,8 @@ disassemble(const Program &program, std::ostream &os)
        << program.hbmBytesPerCycle << " fused_runs="
        << program.fusedRuns << " fused_insts=" << program.fusedInsts
        << " loops=" << program.loops.size() << " executed="
-       << program.totalInsts() << "\n";
+       << program.totalInsts() << " shapes=" << program.shapes.size()
+       << "\n";
     if (!program.segments.empty()) {
         // Phase-cache debuggability: the content digest of each
         // memoizable region plus the cache-key base at the default run
@@ -931,18 +1018,19 @@ disassemble(const Program &program, std::ostream &os)
     for (size_t i = 0; i < program.code.size(); ++i) {
         loopEdges(i);
         const BcInst &b = program.code[i];
-        const BcDebug &dbg = program.debug[i];
+        const CostShape &s = program.shape(b);
+        const CostRow &c = program.cost(b);
         os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
            << std::setw(5) << i << " "
-           << isa::opName(static_cast<isa::HwOp>(b.op)) << " res="
-           << isa::resourceName(static_cast<isa::Resource>(b.resource))
-           << " logN=" << dbg.logDegree << " batch=" << dbg.batch
-           << " words=" << dbg.words << " work=" << dbg.work << " c="
-           << b.computeCycles << " lane_c=" << b.busyLaneCycles
-           << " noc=" << b.nocCycles << " fill=" << b.fillCycles;
+           << isa::opName(static_cast<isa::HwOp>(s.op)) << " res="
+           << isa::resourceName(static_cast<isa::Resource>(c.resource))
+           << " logN=" << s.logDegree << " batch=" << s.batch
+           << " words=" << s.words << " work=" << s.work << " c="
+           << c.computeCycles << " lane_c=" << c.busyLaneCycles
+           << " noc=" << c.nocCycles << " fill=" << program.fillCycles;
         if (b.kind == BcKind::Stream) {
-            os << " stream_bytes=" << b.staticFetchBytes
-               << " stream_cycles=" << b.staticMemCycles;
+            os << " stream_bytes=" << s.staticFetchBytes
+               << " stream_cycles=" << c.staticMemCycles;
         } else {
             os << " bufs=[";
             for (u16 k = 0; k < b.bufCount; ++k) {

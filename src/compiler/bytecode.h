@@ -6,18 +6,28 @@
  * run: each issue() paid four virtual cost-model calls, an operand-vector
  * walk through an unordered_map-backed scratchpad, and a deque-based
  * prefetch window.  A Program lowers a trace *once* into a dense array of
- * fixed-size BcInst records with every cost-model term pre-computed and
- * every operand buffer pre-resolved to a dense scratchpad slot, so
- * execution (sim/bc_engine.h) is a tight dispatch loop over plain arrays
- * — the shape riposte's TraceInst bytecode and nullc's lowering context
- * use for the same reason.
+ * fixed-size BcInst records with every operand buffer pre-resolved to a
+ * dense scratchpad slot, so execution (sim/bc_engine.h) is a tight
+ * dispatch loop over plain arrays — the shape riposte's TraceInst bytecode
+ * and nullc's lowering context use for the same reason.
+ *
+ * Lower once, cost per machine.  A Program has two parts:
+ *   - the *lowered body* (LoweredBody): records, operand rows, loops,
+ *     phase events, segments and the cost-shape table.  It depends only
+ *     on the trace and the LoweringOptions the lowering read, never on
+ *     the machine, and is shared (not copied) by every Program re-costed
+ *     from it;
+ *   - the per-machine *cost table* (Program::costs): one CostRow per
+ *     CostShape, plus the machine constants (HBM bandwidth, scratchpad
+ *     size, pipeline fill).  recost() evaluates a MachinePerf once per
+ *     shape — a few hundred rows — instead of once per record.
  *
  * Bit-exactness contract (enforced by tests/test_bytecode.cpp): executing
  * a Program yields a RunStats bit-identical to feeding the same lowering
  * through the IR CycleEngine — cycles, energy inputs, per-op attribution,
- * stall causes and timeline slices.  Everything pre-computed here is a
- * pure function of (instruction, const machine config), evaluated with
- * the exact expressions the IR engine would use:
+ * stall causes and timeline slices.  Every cost term is a pure function of
+ * (shape, const machine config), evaluated with the exact expressions the
+ * IR engine would use:
  *   - busyLaneCycles  = computeCycles * laneFraction   (same product)
  *   - staticFetchBytes sums streamed operand bytes in operand order
  *     (floating-point accumulation order is observable)
@@ -41,9 +51,11 @@
 #ifndef UFC_COMPILER_BYTECODE_H
 #define UFC_COMPILER_BYTECODE_H
 
+#include <bit>
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,11 +71,55 @@ class MachinePerf; // sim/engine.h
 
 namespace compiler {
 
+/**
+ * Read-only array shared by every Program that holds it: copying a
+ * SharedArray copies a pointer, never the elements.  edit() is the one
+ * way to change the contents, and it copies them first unless this view
+ * is their only owner, so a Program re-costed from another never sees
+ * the other's edits.  Published Programs are const, so edit() only runs
+ * while a Program is being built or, in tests, hand-mutated.
+ */
+template <typename T>
+class SharedArray
+{
+  public:
+    SharedArray() = default;
+
+    std::size_t size() const { return v_ ? v_->size() : 0; }
+    bool empty() const { return size() == 0; }
+    const T *data() const { return v_ ? v_->data() : nullptr; }
+    const T *begin() const { return data(); }
+    const T *end() const { return data() + size(); }
+    const T &operator[](std::size_t i) const { return (*v_)[i]; }
+
+    /** Mutable contents, unshared first (copy-on-write). */
+    std::vector<T> &
+    edit()
+    {
+        if (!v_)
+            v_ = std::make_shared<std::vector<T>>();
+        else if (v_.use_count() > 1)
+            v_ = std::make_shared<std::vector<T>>(*v_);
+        return *v_;
+    }
+
+    /** Both views hold the same elements (one lowering, two costings). */
+    bool
+    sharesWith(const SharedArray &o) const
+    {
+        return v_ != nullptr && v_ == o.v_;
+    }
+
+  private:
+    std::shared_ptr<std::vector<T>> v_;
+};
+
 /** Execution class of one BcInst. */
 enum class BcKind : u8
 {
     /// No cached operands: the memory phase is fully pre-computed
-    /// (staticFetchBytes / staticMemCycles), eligible for fusion.
+    /// (CostShape::staticFetchBytes / CostRow::staticMemCycles),
+    /// eligible for fusion.
     Stream,
     /// At least one operand goes through the scratchpad model; the
     /// executor walks the BcBuf records in operand order.
@@ -94,46 +150,83 @@ struct BcBuf
 };
 
 /**
- * One bytecode instruction: every term the cycle model needs, resolved at
- * compile time.  64 bytes, so one record per cache line.
+ * The machine-independent inputs of one instruction's cost terms: the
+ * HwInst fields a MachinePerf reads, plus the streamed operand bytes of a
+ * Stream instruction (0 for Mem, whose traffic is dynamic).  The builder
+ * interns one row per distinct shape; BcInst::shape indexes the table.
+ */
+struct CostShape
+{
+    double staticFetchBytes = 0.0; ///< Stream: streamed bytes, operand order
+    u64 words = 0;
+    u64 work = 0;
+    u32 logDegree = 0;
+    u32 batch = 1;
+    u8 op = 0; ///< isa::HwOp
+
+    bool
+    operator==(const CostShape &o) const
+    {
+        // Bitwise on the double: the table must keep every distinct
+        // accumulation result apart.
+        return op == o.op && logDegree == o.logDegree &&
+               batch == o.batch && words == o.words && work == o.work &&
+               std::bit_cast<u64>(staticFetchBytes) ==
+                   std::bit_cast<u64>(o.staticFetchBytes);
+    }
+};
+
+/**
+ * One machine's cost terms for one CostShape (Program::costs).  The
+ * shape's op and streamed bytes are repeated here so the executor reads
+ * one row per instruction.
+ */
+struct CostRow
+{
+    double computeCycles = 0.0;   ///< MachinePerf::computeCycles
+    double busyLaneCycles = 0.0;  ///< computeCycles * laneFraction
+    double nocCycles = 0.0;       ///< MachinePerf::nocCycles
+    double staticFetchBytes = 0.0; ///< CostShape::staticFetchBytes
+    /// staticFetchBytes / hbmBytesPerCycle (read for Stream only).
+    double staticMemCycles = 0.0;
+    u8 resource = 0;              ///< isa::Resource
+    u8 op = 0;                    ///< CostShape::op
+};
+
+/**
+ * One bytecode instruction: its cost shape and execution shape.  16
+ * bytes, four records per cache line; the cost terms live in the
+ * Program's per-machine table, so one record serves every machine.
  */
 struct BcInst
 {
-    double computeCycles = 0.0;    ///< MachinePerf::computeCycles
-    double busyLaneCycles = 0.0;   ///< computeCycles * laneFraction
-    double nocCycles = 0.0;        ///< MachinePerf::nocCycles
-    double fillCycles = 0.0;       ///< MachinePerf::pipelineFillCycles
-    /// Stream kind: streamed operand bytes, summed in operand order.
-    double staticFetchBytes = 0.0;
-    /// Stream kind: staticFetchBytes / hbmBytesPerCycle.
-    double staticMemCycles = 0.0;
+    u32 shape = 0;     ///< CostShape / CostRow index
     u32 bufBegin = 0;  ///< first BcBuf (Mem kind)
     u16 bufCount = 0;  ///< BcBuf count (Mem kind)
     /// Fused-run head: number of consecutive Stream instructions
     /// (including this one) the executor may iterate without
     /// re-dispatching; 1 everywhere else.
     u16 runLen = 1;
-    u8 op = 0;         ///< isa::HwOp
-    u8 resource = 0;   ///< isa::Resource
     BcKind kind = BcKind::Stream;
     FuseKind fuse = FuseKind::None;
 };
 
-static_assert(sizeof(BcInst) == 64, "BcInst must stay one cache line");
+static_assert(sizeof(BcInst) <= 16, "BcInst must stay at most 16 bytes");
 
-/** Side-table row for disassembly (parallel to Program::code). */
+/**
+ * Retired: the per-instruction disassembly side table.  Its fields
+ * (log-degree, batch, words, work) now live once per shape in
+ * LoweredBody::shapes.  The type and the always-empty Program::debug
+ * remain only for source compatibility with existing size probes.
+ */
 struct BcDebug
 {
-    u32 logDegree = 0;
-    u32 batch = 1;
-    u64 words = 0;
-    u64 work = 0;
 };
 
 /**
  * A phase marker between instructions: fires before instruction `inst`
  * (== code.size() for end-of-stream markers).  `name` indexes
- * Program::phaseNames; kEnd closes the innermost open phase.
+ * LoweredBody::phaseNames; kEnd closes the innermost open phase.
  */
 struct PhaseEvent
 {
@@ -159,10 +252,10 @@ struct BcLoop
 };
 
 /**
- * A memoizable phase region: instructions [begin, end) of Program::code
- * form one top-level phase whose boundaries never sit inside a fused run
- * or a folded loop (fusion and folding both break at phase markers).
- * Only regions of at least kMinSegmentInsts instructions are recorded,
+ * A memoizable phase region: instructions [begin, end) of the code form
+ * one top-level phase whose boundaries never sit inside a fused run or a
+ * folded loop (fusion and folding both break at phase markers).  Only
+ * regions of at least kMinSegmentInsts instructions are recorded,
  * bounding the per-segment snapshot overhead to a small fraction of the
  * execution they can save.  Sorted by begin; disjoint.
  *
@@ -175,24 +268,45 @@ struct PhaseSegment
 {
     u64 begin = 0; ///< first instruction of the region
     u64 end = 0;   ///< one past the last instruction
-    i32 name = -1; ///< Program::phaseNames index of the region
+    i32 name = -1; ///< phaseNames index of the region
 };
 
 /** Smallest phase region worth memoizing (see PhaseSegment). */
 inline constexpr u64 kMinSegmentInsts = 512;
 
+/**
+ * The machine-independent part of a Program: everything the lowering,
+ * fusion and folding produce.  Every array is a SharedArray, so copying
+ * a body (recost()) shares it instead of duplicating it.
+ */
+struct LoweredBody
+{
+    SharedArray<BcInst> code;
+    SharedArray<BcBuf> bufs;
+    SharedArray<BcLoop> loops;           ///< folded repeats, sorted by end
+    SharedArray<PhaseEvent> phaseEvents;
+    SharedArray<std::string> phaseNames; ///< owned; outlives the trace
+    SharedArray<CostShape> shapes;       ///< distinct cost shapes
+    SharedArray<PhaseSegment> segments;  ///< memoizable phase regions
+    u32 spadSlots = 0;                   ///< dense scratchpad slot count
+
+    // Fusion statistics (disassembly / bench reporting).
+    u64 fusedRuns = 0;
+    u64 fusedInsts = 0;
+};
+
 struct Program;
 
 /**
  * FNV-1a digest of everything that determines how code[begin, end)
- * executes on this Program's machine — the per-instruction cost terms,
- * operand records (slot/bytes/flags; buffer ids are diagnostics and
- * excluded), loop rows relative to the segment, and the machine
- * constants — so equal hashes mean replaying one region's exit state for
- * the other is exact *provided the engine entry states also match*; the
- * phase cache (sim/phase_cache.h) keys on both.  Computed lazily: the
- * engine hashes a Program's segments once per run, and only when a cache
- * is armed.
+ * executes on this Program's machine — the per-instruction cost terms
+ * (read through the cost table), operand records (slot/bytes/flags;
+ * buffer ids are diagnostics and excluded), loop rows relative to the
+ * segment, and the machine constants — so equal hashes mean replaying
+ * one region's exit state for the other is exact *provided the engine
+ * entry states also match*; the phase cache (sim/phase_cache.h) keys on
+ * both.  Computed lazily: the engine hashes a Program's segments once per
+ * run, and only when a cache is armed.
  */
 u64 segmentContentHash(const Program &p, u64 begin, u64 end);
 
@@ -235,43 +349,40 @@ u64 peakLivePrograms();
 void resetPeakLivePrograms();
 
 /**
- * A compiled trace: everything AcceleratorModel::execute() needs, with no
- * references back to the Trace or the MachinePerf it came from.  Programs
- * are immutable after compileTrace() and safe to share across threads —
- * the runner's ProgramCache hands one instance to every job with the same
- * (model, trace-content) key.
+ * A compiled trace: a lowered body plus one machine's cost table —
+ * everything AcceleratorModel::execute() needs, with no references back
+ * to the Trace or the MachinePerf it came from.  Programs are immutable
+ * once published and safe to share across threads — the runner's
+ * ProgramCache hands one instance to every job with the same (model,
+ * trace) pair, and re-costs the body for other machines whose lowering
+ * key matches.
  *
  * A composed machine compiles to a Program with empty `code` and one
  * sub-Program per chip in `parts` (plus the PCIe link traffic the
  * partition computed); single-chip Programs have empty `parts`.
  */
-struct Program
+struct Program : LoweredBody
 {
     std::string workload;      ///< Trace::name (stamped into RunResult)
-    std::string machine;       ///< model name the cost terms were baked for
+    std::string machine;       ///< model name the costs were evaluated for
     u64 traceHash = 0;         ///< trace::contentHash of the source trace
+    /// MachinePerf::digest() of the costs; execute() rejects a Program
+    /// whose digest differs from the executing model's.
+    u64 machineDigest = 0;
 
     // Machine constants captured from the MachinePerf.
     double hbmBytesPerCycle = 1.0;
     double scratchpadBytes = 0.0;
-    u32 spadSlots = 0;         ///< dense scratchpad slot count
+    double fillCycles = 0.0;   ///< MachinePerf::pipelineFillCycles
 
-    std::vector<BcInst> code;
-    std::vector<BcBuf> bufs;
-    std::vector<BcLoop> loops;   ///< folded repeats, sorted by end
-    std::vector<PhaseEvent> phaseEvents;
-    std::vector<std::string> phaseNames; ///< owned; outlives the trace
-    std::vector<BcDebug> debug;          ///< parallel to code
-    std::vector<PhaseSegment> segments;  ///< memoizable phase regions
+    std::vector<CostRow> costs; ///< parallel to shapes
+
+    std::vector<BcDebug> debug; ///< retired; always empty (see BcDebug)
 
     // Composed-machine decomposition (see struct docs).
     std::vector<Program> parts;
     double pcieBytes = 0.0;
     u64 pcieTransfers = 0;
-
-    // Fusion statistics (disassembly / bench reporting).
-    u64 fusedRuns = 0;
-    u64 fusedInsts = 0;
 
     bool composed() const { return !parts.empty(); }
 
@@ -288,7 +399,31 @@ struct Program
             n += static_cast<u64>(lp.bodyLen) * (lp.trips - 1);
         return n;
     }
+
+    /** Cost terms of instruction `b` on this Program's machine. */
+    const CostRow &cost(const BcInst &b) const { return costs[b.shape]; }
+    /** Cost shape (op, geometry, streamed bytes) of instruction `b`. */
+    const CostShape &shape(const BcInst &b) const { return shapes[b.shape]; }
 };
+
+/**
+ * Bind a lowered Program to one machine: capture its constants and
+ * digest, and evaluate `perf` once per cost shape into `p.costs`, with
+ * the same expressions the IR engine evaluates per instruction.
+ */
+void costProgram(Program &p, const sim::MachinePerf &perf,
+                 const std::string &machineName);
+
+/**
+ * `lowered` re-costed for another machine: the result shares lowered's
+ * body (no record is copied) and carries a fresh cost table from
+ * `perf`.  Bit-identical to compiling the same trace for that machine
+ * *provided* both lowerings read equal options — the caller's
+ * obligation, which AcceleratorModel::loweringKey() makes checkable.
+ * Composed Programs are rejected with ConfigError.
+ */
+Program recost(const Program &lowered, const sim::MachinePerf &perf,
+               const std::string &machineName);
 
 /**
  * One scratchpad-slot touch in a Program's def-use stream (see
@@ -319,19 +454,20 @@ struct SlotAccess
 std::vector<SlotAccess> slotAccesses(const Program &p);
 
 /**
- * InstSink that builds a Program: the bytecode emitter plugs into the
- * same Lowering pipeline as the analysis::VerifyingSink, so `--lint`
+ * InstSink that builds a lowered body: the bytecode emitter plugs into
+ * the same Lowering pipeline as the analysis::VerifyingSink, so `--lint`
  * verification and JIT lowering compose in one pass over the instruction
  * stream (LoweringOptions::lint interposes the verifier in front of this
  * sink).  Single-use, like Lowering itself: issue everything, then call
- * finish() exactly once to run the fusion pass.
+ * finish() exactly once to run the fusion pass.  The builder never sees
+ * a machine; costProgram() binds one afterwards.
  */
 class ProgramBuilder : public isa::InstSink
 {
   public:
-    /** Cost terms are baked from `perf`; both pointers must outlive the
-     *  builder.  The builder appends into `out` (normally fresh). */
-    ProgramBuilder(const sim::MachinePerf *perf, Program *out);
+    /** The builder writes `out`'s LoweredBody part (normally fresh);
+     *  `out` must outlive the builder. */
+    explicit ProgramBuilder(Program *out);
 
     void issue(const isa::HwInst &inst) override;
     void beginPhase(const char *name) override;
@@ -344,20 +480,25 @@ class ProgramBuilder : public isa::InstSink
     bool beginRepeat(u64 trips) override;
     void endRepeat() override;
 
-    /** Seal the Program: assign fused runs and the slot count. */
+    /** Seal the body: assign fused runs, segments and the slot count. */
     void finish();
 
   private:
     u32 slotFor(u64 id);
+    u32 shapeFor(const CostShape &shape);
     void fuse();
 
-    const sim::MachinePerf *perf_;
     Program *out_;
-    // Machine constants hoisted out of issue() (see ctor).
-    double fillCycles_ = 0.0;
-    double hbmBpc_ = 1.0;
+    // The body's arrays, unshared for the builder's lifetime.
+    std::vector<BcInst> &code_;
+    std::vector<BcBuf> &bufs_;
+    std::vector<PhaseEvent> &events_;
+    std::vector<CostShape> &shapes_;
     std::unordered_map<u64, u32> slots_;
     std::unordered_map<std::string, u32> phaseNameIdx_;
+    /// Open-addressing shape interner: slot -> shape index + 1 (0 =
+    /// empty); power-of-two size kept under half full.
+    std::vector<u32> shapeIdx_;
     // Open repeat offer (beginRepeat..endRepeat window).
     u64 repeatTrips_ = 0;
     u64 repeatStart_ = 0;      ///< code.size() at beginRepeat
@@ -369,13 +510,16 @@ class ProgramBuilder : public isa::InstSink
 /**
  * Compile a trace for one machine: lower it with `opts` straight into a
  * ProgramBuilder (verifier interposed when `lint` is non-null, exactly as
- * in a simulation run) and return the sealed Program.  Throws the same
- * typed errors a lowering inside run() would.
+ * in a simulation run), then cost the body with `perf`.  `traceHash` is
+ * trace::contentHash(tr) when the caller already has it (the batch runner
+ * hashes each trace once); 0 means "hash it here".  Throws the same typed
+ * errors a lowering inside run() would.
  */
 Program compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
                      const sim::MachinePerf &perf,
                      const std::string &machineName,
-                     analysis::DiagnosticReport *lint = nullptr);
+                     analysis::DiagnosticReport *lint = nullptr,
+                     u64 traceHash = 0);
 
 /** Per-op admission hook for compileTraceStream (models that support a
  *  single scheme reject foreign ops here, with the same typed errors

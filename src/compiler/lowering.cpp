@@ -22,6 +22,25 @@ using isa::HwOp;
 using trace::OpKind;
 using trace::TraceOp;
 
+u64
+loweringKey(const LoweringOptions &opts, const trace::Trace &tr)
+{
+    using trace::detail::mix64;
+    u64 h = trace::detail::kFnvOffset;
+    mix64(h, static_cast<u64>(opts.wordBits));
+    mix64(h, opts.autoViaNtt ? 1 : 0);
+    mix64(h, opts.onTheFlyKeyGen ? 1 : 0);
+    const bool pbs = std::any_of(
+        tr.ops.begin(), tr.ops.end(),
+        [](const TraceOp &op) { return op.kind == OpKind::TfhePbs; });
+    if (pbs) {
+        mix64(h, static_cast<u64>(opts.totalVectorLanes));
+        mix64(h, opts.smallPolyPacking ? 1 : 0);
+        mix64(h, static_cast<u64>(opts.parallelism));
+    }
+    return h;
+}
+
 Lowering::Lowering(const trace::Trace *tr, const LoweringOptions &opts,
                    isa::InstSink *sink)
     : trace_(tr), opts_(opts), sink_(sink)

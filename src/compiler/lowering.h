@@ -7,9 +7,10 @@
  * key switching (ModUp / inner product / ModDown with dnum digits),
  * rescaling, automorphisms, TFHE blind rotation and key switching — and
  * applies the paper's compiler optimizations when the target supports
- * them: automorphism-via-NTT (Section IV-C2), rotation-as-monomial-
- * multiply (IV-C3), small-polynomial packing (V-A) and the TvLP/PLP/CoLP
- * parallel scheduling priority (V-B).
+ * them: automorphism-via-NTT (Section IV-C2), small-polynomial packing
+ * (V-A) and the TvLP/CoLP parallel scheduling priority (V-B).  Blind
+ * rotation always lowers its polynomial rotation to an evaluation-form
+ * monomial multiply (IV-C3); that is not a per-target switch.
  */
 
 #ifndef UFC_COMPILER_LOWERING_H
@@ -35,19 +36,21 @@ enum class Parallelism
     CoLP, ///< batch decomposed columns of one external product
 };
 
-/** Machine-dependent lowering knobs. */
+/**
+ * Machine-dependent lowering knobs.  Every field except `lint` can change
+ * the lowered instruction stream; loweringKey() digests the ones a given
+ * trace's lowering actually reads.
+ */
 struct LoweringOptions
 {
     // Word geometry.
     int wordBits = 32;
 
-    // Throughput geometry used for packing decisions.
-    int totalButterflies = 8192;
+    // Vector-lane count the small-polynomial packing fills (TFHE PBS).
     int totalVectorLanes = 16384;
 
     // Paper optimizations.
     bool autoViaNtt = true;        ///< else: NoC shuffle (SHARP style)
-    bool rotateAsMonomialMul = true;
     bool smallPolyPacking = true;  ///< Section V-A
     Parallelism parallelism = Parallelism::TvLP;
     bool onTheFlyKeyGen = true;    ///< halve key traffic, add ALU work
@@ -64,6 +67,16 @@ struct LoweringOptions
         return (limbBits + wordBits - 1) / wordBits;
     }
 };
+
+/**
+ * Digest of the LoweringOptions fields lowering `tr` reads: wordBits,
+ * autoViaNtt and onTheFlyKeyGen always; totalVectorLanes,
+ * smallPolyPacking and parallelism only when `tr` has a TFHE PBS op
+ * (only the PBS lowering reads them).  `lint` never changes the stream
+ * and is excluded.  Two option sets with equal keys lower `tr` to the
+ * same body, so a body lowered under one can be re-costed for the other.
+ */
+u64 loweringKey(const LoweringOptions &opts, const trace::Trace &tr);
 
 /**
  * Buffer-id namespaces the lowering hands to the scratchpad model.

@@ -17,6 +17,7 @@
 
 #include "runner/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -87,6 +88,9 @@ struct ProgramCacheMetrics
     metrics::Counter &misses = metrics::counter(
         "ufc_program_cache_misses_total",
         "Program-cache requests that triggered a compile");
+    metrics::Counter &recosts = metrics::counter(
+        "ufc_program_cache_recosts_total",
+        "Program-cache requests served by re-costing an installed body");
     metrics::Counter &evictions = metrics::counter(
         "ufc_program_cache_evictions_total",
         "Program-cache entries dropped by the maxEntries bound");
@@ -124,63 +128,111 @@ std::shared_ptr<const compiler::Program>
 ProgramCache::get(const sim::AcceleratorModel &model,
                   const trace::Trace &tr)
 {
-    const Key key{&model, trace::contentHash(tr)};
+    return get(model, tr,
+               Key{model.loweringKey(tr), trace::contentHash(tr)});
+}
 
+void
+ProgramCache::limitUses(const Key &key, u64 uses)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_[key].usesLeft = uses;
+}
+
+std::shared_ptr<const compiler::Program>
+ProgramCache::get(const sim::AcceleratorModel &model,
+                  const trace::Trace &tr, const Key &key)
+{
+    enum class Action { Hit, Compile, Recost };
     std::promise<std::shared_ptr<const compiler::Program>> promise;
-    Entry entry;
-    bool owner = false;
+    Future entry;
+    Future source; // Recost: the installed Program to re-cost
+    Action action = Action::Hit;
     u64 evicted = 0;
     std::size_t entryCount = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            entry = it->second;
-        } else {
-            entry = promise.get_future().share();
-            entries_.emplace(key, entry);
-            order_.push_back(key);
-            owner = true;
-            // FIFO eviction: drop the oldest entry while over the bound.
-            // Evicting an in-flight compile is safe — waiters hold their
-            // own shared_future copies — and the key can be re-inserted
-            // (and re-compiled) later; compilation is deterministic, so
-            // only host time changes.
-            while (maxEntries_ > 0 && entries_.size() > maxEntries_) {
-                entries_.erase(order_.front());
-                order_.pop_front();
-                evictions_.fetch_add(1, std::memory_order_relaxed);
-                ++evicted;
+        const auto it = entries_.try_emplace(key).first;
+        Entry &e = it->second;
+        for (const auto &[m, fut] : e.programs) {
+            if (m == &model) {
+                entry = fut;
+                break;
             }
         }
-        entryCount = entries_.size();
+        if (entry.valid()) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            entry = promise.get_future().share();
+            if (e.programs.empty()) {
+                action = Action::Compile;
+                e.lowered = entry;
+                order_.push_back(key);
+            } else {
+                action = Action::Recost;
+                source = e.lowered;
+            }
+            e.programs.emplace_back(&model, entry);
+        }
+        // Multiplicity-aware retention: the key's last expected user
+        // takes the entry out, so its body dies with that job's Program.
+        if (e.usesLeft > 0 && --e.usesLeft == 0) {
+            order_.erase(std::find(order_.begin(), order_.end(), key));
+            entries_.erase(it);
+        }
+        // FIFO eviction: drop the oldest entry while over the bound.
+        // Evicting an in-flight compile is safe — waiters hold their
+        // own shared_future copies — and the key can be re-inserted
+        // (and re-compiled) later; compilation is deterministic, so
+        // only host time changes.
+        while (maxEntries_ > 0 && order_.size() > maxEntries_) {
+            entries_.erase(order_.front());
+            order_.pop_front();
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+            ++evicted;
+        }
+        entryCount = order_.size();
     }
 
     if (metrics::enabled()) {
         ProgramCacheMetrics &m = programCacheMetrics();
-        (owner ? m.misses : m.hits).inc();
+        switch (action) {
+          case Action::Hit: m.hits.inc(); break;
+          case Action::Compile: m.misses.inc(); break;
+          case Action::Recost: m.recosts.inc(); break;
+        }
         if (evicted > 0)
             m.evictions.inc(evicted);
         m.entries.set(static_cast<i64>(entryCount));
         metrics::flightRecorder().record(
-            owner ? metrics::EventKind::CacheMiss
-                  : metrics::EventKind::CacheHit,
-            "program_cache", "workload=" + tr.name);
+            action == Action::Hit ? metrics::EventKind::CacheHit
+                                  : metrics::EventKind::CacheMiss,
+            "program_cache",
+            std::string(action == Action::Recost ? "recost " : "") +
+                "workload=" + tr.name);
         if (evicted > 0)
             metrics::flightRecorder().record(
                 metrics::EventKind::CacheEvict, "program_cache",
                 "evicted=" + std::to_string(evicted));
     }
 
-    // First requester compiles outside the lock (so unrelated keys are
-    // not serialized behind a slow compile) and publishes the Program —
-    // or the typed error — to everyone waiting on the shared future.
-    if (owner) {
-        compiles_.fetch_add(1, std::memory_order_relaxed);
+    // The first requester of a (key, model) pair builds its Program
+    // outside the lock (so unrelated keys are not serialized behind a
+    // slow compile) and publishes it — or the typed error — to everyone
+    // waiting on the shared future.
+    if (action != Action::Hit) {
         try {
-            promise.set_value(std::make_shared<const compiler::Program>(
-                model.compile(tr)));
+            if (action == Action::Compile) {
+                compiles_.fetch_add(1, std::memory_order_relaxed);
+                promise.set_value(std::make_shared<const compiler::Program>(
+                    model.compileWithHash(tr, key.trace)));
+            } else {
+                recosts_.fetch_add(1, std::memory_order_relaxed);
+                const std::shared_ptr<const compiler::Program> lowered =
+                    source.get(); // rethrows the key's compile error
+                promise.set_value(std::make_shared<const compiler::Program>(
+                    model.recost(*lowered)));
+            }
         } catch (...) {
             promise.set_exception(std::current_exception());
         }
@@ -272,7 +324,8 @@ ExperimentRunner::effectiveThreads(std::size_t jobs) const
 void
 ExperimentRunner::runOne(const Job &job, std::size_t index,
                          sim::RunResult &result, JobOutcome &outcome,
-                         ProgramCache *cache) const
+                         ProgramCache *cache,
+                         const ProgramCache::Key *key) const
 {
     const int maxAttempts = 1 + (cfg_.maxRetries > 0 ? cfg_.maxRetries
                                                      : 0);
@@ -359,11 +412,15 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                 (cache != nullptr || job.options.dataflowLint ||
                  job.options.boundsCheck);
             if (wantProgram) {
+                // Bad options fail before paying for a compile, as in
+                // the run() shim; execute() re-validates.
+                sim::validateRunOptions(opts);
                 std::shared_ptr<const compiler::Program> program;
                 if (cache) {
-                    // Compile-once path: sibling jobs over the same
-                    // (model, trace) pair share the compiled Program.
-                    program = cache->get(*job.model, *tr);
+                    // Lower-once path: sibling jobs share the Program
+                    // (same model) or its body (equal lowering key).
+                    program = key ? cache->get(*job.model, *tr, *key)
+                                  : cache->get(*job.model, *tr);
                 } else {
                     program = std::make_shared<const compiler::Program>(
                         job.model->compile(*tr));
@@ -502,27 +559,38 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
     if (metrics::enabled())
         (void)programCacheMetrics();
 
-    // A compiled Program is only worth retaining when a sibling job will
-    // reuse it.  The job list is known up front, so count the distinct
-    // (model, trace) pairs: singleton jobs take the run() shim instead,
-    // which frees their Program at job end — the allocator then recycles
-    // those already-faulted pages for the next job's compile instead of
-    // every job paying first-touch cost on fresh ones (and the batch
-    // peak RSS stays bounded by the genuinely shared programs).
-    const auto pairKey = [](const Job &job) {
-        u64 h = reinterpret_cast<std::uintptr_t>(job.model.get());
-        h ^= reinterpret_cast<std::uintptr_t>(job.trace.get()) +
-             0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        return h;
-    };
-    std::unordered_map<u64, int> pairUses;
-    for (const Job &job : jobs)
-        if (job.model && job.trace)
-            ++pairUses[pairKey(job)];
-    std::vector<char> sharedProgram(jobs.size(), 0);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        sharedProgram[i] = jobs[i].model && jobs[i].trace &&
-                           pairUses[pairKey(jobs[i])] > 1;
+    // Key every bytecode job with an eager trace up front, hashing each
+    // trace object once; the key feeds the cache lookup, the use count
+    // below and Program::traceHash.  A Program (and its body) is only
+    // worth retaining until the last job with its key has fetched it:
+    // the cache drops each key after its counted uses, so a singleton's
+    // Program dies with its job — the allocator then recycles those
+    // already-faulted pages for the next compile — and the batch peak
+    // RSS stays bounded by the bodies still waiting for users.  (A
+    // retried job fetches again; at worst that re-lowers a sibling's
+    // key, which costs host time only.)
+    std::vector<ProgramCache::Key> keys(jobs.size());
+    std::vector<char> keyed(jobs.size(), 0);
+    {
+        std::unordered_map<const trace::Trace *, u64> traceHashes;
+        std::unordered_map<ProgramCache::Key, u64, ProgramCache::KeyHash>
+            uses;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const Job &job = jobs[i];
+            if (!job.model || !job.trace ||
+                job.options.execMode != sim::ExecMode::Bytecode)
+                continue;
+            const auto [it, fresh] =
+                traceHashes.try_emplace(job.trace.get(), 0);
+            if (fresh)
+                it->second = trace::contentHash(*job.trace);
+            keys[i] = {job.model->loweringKey(*job.trace), it->second};
+            keyed[i] = 1;
+            ++uses[keys[i]];
+        }
+        for (const auto &[key, n] : uses)
+            cache.limitUses(key, n);
+    }
 
     ThreadPool pool(effectiveThreads(jobs.size()));
     pool.parallelFor(jobs.size(), [&](std::size_t i) {
@@ -553,7 +621,7 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
         const auto t0 = timeJob ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
         runOne(jobs[i], i, batch.results[i], batch.outcomes[i],
-               sharedProgram[i] ? &cache : nullptr);
+               keyed[i] ? &cache : nullptr, keyed[i] ? &keys[i] : nullptr);
         double wallMs = 0.0;
         if (timeJob) {
             wallMs = std::chrono::duration<double, std::milli>(

@@ -41,26 +41,57 @@ namespace ufc {
 namespace runner {
 
 /**
- * Batch-scoped cache of compiled Programs keyed on (model instance,
- * trace content hash): a sweep that executes one trace under many
- * RunOptions pays the model's compile() exactly once per distinct
- * (model, trace) pair, even when the jobs land on different worker
- * threads concurrently.
+ * Batch-scoped cache of compiled Programs keyed on (lowering key, trace
+ * content hash) — see AcceleratorModel::loweringKey().  An entry holds
+ * the first Program lowered for its key plus one Program per model that
+ * asked for it:
+ *   - a repeat (model, trace) request returns that model's installed
+ *     Program (a hit; nothing is re-costed);
+ *   - a new model whose key matches an installed entry gets
+ *     model.recost() of the installed Program, which shares its body;
+ *   - any other request compiles.
+ * So a DSE sweep lowers each trace once per distinct lowering key and
+ * pays only a per-shape re-cost for every further machine point.
  *
- * Concurrency: the first requester of a key installs a shared future
- * and compiles outside the map lock; later requesters block on that
- * future.  A compile error is cached too and rethrown to every
- * requester — compilation is deterministic, so retrying it cannot
- * succeed.
+ * Concurrency: the first requester of a (key, model) pair installs a
+ * shared future and compiles or re-costs outside the map lock; later
+ * requesters block on that future.  A compile error is cached too and
+ * rethrown to every requester of the key — lowering is deterministic
+ * and keys separate model classes, so retrying cannot succeed.
  *
- * Lifetime: keys hold raw model pointers, so a cache must not outlive
- * the models it has seen.  The runner builds one per batch (the jobs'
+ * Lifetime: entries hold raw model pointers, and default lowering keys
+ * are derived from model addresses, so a cache must not outlive the
+ * models it has seen.  The runner builds one per batch (the jobs'
  * shared_ptrs keep the models alive); standalone users with longer-
  * lived models may keep one for as long as those models exist.
  */
 class ProgramCache
 {
   public:
+    /** What a request is keyed on. */
+    struct Key
+    {
+        u64 lowering = 0; ///< AcceleratorModel::loweringKey(trace)
+        u64 trace = 0;    ///< trace::contentHash(trace)
+
+        bool
+        operator==(const Key &o) const
+        {
+            return lowering == o.lowering && trace == o.trace;
+        }
+    };
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            // Splitmix-style combine of the two 64-bit halves.
+            u64 h = k.lowering;
+            h ^= k.trace + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+            return static_cast<std::size_t>(h);
+        }
+    };
+
     /** `maxEntries` bounds the cache (0 = unbounded, the default).
      *  When an insert exceeds the bound the oldest entry is evicted
      *  (FIFO by insertion) — safe even while the evicted compile is
@@ -70,19 +101,37 @@ class ProgramCache
         : maxEntries_(maxEntries)
     {}
 
-    /** The compiled Program for `tr` on `model`, compiling on first
-     *  use.  Thread-safe; throws whatever compile() threw. */
+    /** The Program for `tr` on `model`, compiling or re-costing on
+     *  first use.  Thread-safe; throws whatever compile() threw. */
     std::shared_ptr<const compiler::Program>
     get(const sim::AcceleratorModel &model, const trace::Trace &tr);
 
-    /** Requests served from an already-installed entry. */
+    /** get() with the key already computed (`key` must equal
+     *  {model.loweringKey(tr), trace::contentHash(tr)}): the batch
+     *  runner hashes each trace once. */
+    std::shared_ptr<const compiler::Program>
+    get(const sim::AcceleratorModel &model, const trace::Trace &tr,
+        const Key &key);
+
+    /** Drop `key`'s entry after `uses` more get() calls for it, so its
+     *  body lives only as long as the Programs its last user holds.
+     *  Keys without a limit stay until evicted. */
+    void limitUses(const Key &key, u64 uses);
+
+    /** Requests served from an already-installed Program. */
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
-    /** compile() calls actually performed (== distinct keys seen,
-     *  counting re-compiles of evicted keys). */
+    /** compile() calls actually performed — lowerings (== distinct
+     *  keys seen, counting re-compiles of evicted keys). */
     u64
     compiles() const
     {
         return compiles_.load(std::memory_order_relaxed);
+    }
+    /** recost() calls: new models served from an installed body. */
+    u64
+    recosts() const
+    {
+        return recosts_.load(std::memory_order_relaxed);
     }
     /** Entries dropped by the maxEntries bound. */
     u64
@@ -92,39 +141,28 @@ class ProgramCache
     }
 
   private:
-    struct Key
-    {
-        const sim::AcceleratorModel *model;
-        u64 traceHash;
-
-        bool
-        operator==(const Key &o) const
-        {
-            return model == o.model && traceHash == o.traceHash;
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            // Splitmix-style combine of the two 64-bit halves.
-            u64 h = reinterpret_cast<std::uintptr_t>(k.model);
-            h ^= k.traceHash + 0x9e3779b97f4a7c15ULL + (h << 6) +
-                 (h >> 2);
-            return static_cast<std::size_t>(h);
-        }
-    };
-
-    using Entry =
+    using Future =
         std::shared_future<std::shared_ptr<const compiler::Program>>;
+
+    struct Entry
+    {
+        /// The Program compiled for the key: the recost() source.
+        Future lowered;
+        /// One Program per requesting model, `lowered`'s model first.
+        std::vector<std::pair<const sim::AcceleratorModel *, Future>>
+            programs;
+        u64 usesLeft = 0; ///< 0 = no limit (see limitUses)
+    };
 
     const std::size_t maxEntries_;
     std::mutex mu_;
     std::unordered_map<Key, Entry, KeyHash> entries_;
-    std::deque<Key> order_; ///< insertion order, for FIFO eviction
+    /// Keys with an installed Program, in insertion order (FIFO
+    /// eviction); entries that only carry a use limit are not counted.
+    std::deque<Key> order_;
     std::atomic<u64> hits_{0};
     std::atomic<u64> compiles_{0};
+    std::atomic<u64> recosts_{0};
     std::atomic<u64> evictions_{0};
 };
 
@@ -196,9 +234,10 @@ struct RunnerConfig
     /// counters off the cache after the batch.  IR-mode jobs ignore it.
     sim::PhaseCache *phaseCache = nullptr;
     /// Bound on the batch-scoped ProgramCache (0 = unbounded).  Bounded
-    /// caches evict FIFO; an evicted (model, trace) pair re-compiles on
-    /// its next use.  Results are identical either way — compilation is
-    /// deterministic — only host time and peak memory change.
+    /// caches evict FIFO; an evicted key re-compiles on its next use.
+    /// Results are identical either way — compilation is deterministic
+    /// — only host time and peak memory change.  Within the bound, each
+    /// key is dropped after the last job in the batch that uses it.
     std::size_t programCacheMaxEntries = 0;
 };
 
@@ -326,7 +365,8 @@ class ExperimentRunner
   private:
     void runOne(const Job &job, std::size_t index,
                 sim::RunResult &result, JobOutcome &outcome,
-                ProgramCache *cache) const;
+                ProgramCache *cache,
+                const ProgramCache::Key *key = nullptr) const;
 
     RunnerConfig cfg_;
 };

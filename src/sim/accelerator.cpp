@@ -17,6 +17,8 @@
 
 #include "sim/accelerator.h"
 
+#include <cstdint>
+
 #include "common/error.h"
 #include "sim/bc_engine.h"
 #include "sim/timeline.h"
@@ -65,8 +67,8 @@ struct ExecCacheCounts
 };
 
 RunStats
-executeProgram(const compiler::Program &program,
-               const std::string &machine, const RunOptions &runOpts,
+executeProgram(const compiler::Program &program, const std::string &machine,
+               const MachinePerf &perf, const RunOptions &runOpts,
                ExecCacheCounts *cacheCounts = nullptr)
 {
     validateRunOptions(runOpts);
@@ -78,6 +80,14 @@ executeProgram(const compiler::Program &program,
                "Program '" << program.workload << "' compiled for '"
                    << program.machine << "' executed on '" << machine
                    << "'");
+    // Names do not identify a machine (every UfcConfig is "UFC"), so
+    // the cost terms' provenance is checked by value.
+    UFC_EXPECT(program.machineDigest == perf.digest(), ConfigError,
+               "Program '" << program.workload << "' was costed for other '"
+                   << machine << "' machine constants (digest "
+                   << std::hex << program.machineDigest << ", model "
+                   << perf.digest() << std::dec
+                   << "); recost it for this model");
     const int window = runOpts.prefetchWindow >= 0
                            ? runOpts.prefetchWindow
                            : CycleEngine::kDefaultPrefetchWindow;
@@ -126,7 +136,46 @@ attachBaseline(const BaselineCost &cost, double areaMm2,
     return r;
 }
 
+/** Lowering key of a single-chip model: its class (which fixes the
+ *  scheme admission and the cost expressions) and the options read. */
+u64
+chipLoweringKey(u64 classTag, const compiler::LoweringOptions &opts,
+                const trace::Trace &tr)
+{
+    u64 h = classTag;
+    trace::detail::mix64(h, compiler::loweringKey(opts, tr));
+    return h;
+}
+
+constexpr u64 kUfcKeyTag = 0x55464300;   // "UFC"
+constexpr u64 kSharpKeyTag = 0x53484150; // "SHAP"
+constexpr u64 kStrixKeyTag = 0x53545258; // "STRX"
+
 } // namespace
+
+compiler::Program
+AcceleratorModel::compileWithHash(const trace::Trace &tr, u64) const
+{
+    return compile(tr);
+}
+
+u64
+AcceleratorModel::loweringKey(const trace::Trace &) const
+{
+    // Unique per instance: nothing else ever shares this model's bodies.
+    u64 h = trace::detail::kFnvOffset;
+    trace::detail::mix64(h, reinterpret_cast<std::uintptr_t>(this));
+    return h;
+}
+
+compiler::Program
+AcceleratorModel::recost(const compiler::Program &lowered) const
+{
+    UFC_THROW(ConfigError, "model '" << name()
+                                     << "' cannot re-cost Program '"
+                                     << lowered.workload
+                                     << "'; compile it instead");
+}
 
 RunResult
 AcceleratorModel::run(const trace::Trace &tr, const RunOptions &opts) const
@@ -160,10 +209,8 @@ UfcModel::loweringOptions() const
 {
     compiler::LoweringOptions opts;
     opts.wordBits = cfg_.wordBits;
-    opts.totalButterflies = cfg_.totalButterflies();
     opts.totalVectorLanes = cfg_.totalLanes();
     opts.autoViaNtt = true;
-    opts.rotateAsMonomialMul = true;
     opts.smallPolyPacking = cfg_.smallPolyPacking;
     opts.parallelism = parallelism_;
     opts.onTheFlyKeyGen = cfg_.onTheFlyKeyGen;
@@ -196,8 +243,27 @@ UfcModel::attach(const RunStats &stats, const RunOptions &opts,
 compiler::Program
 UfcModel::compile(const trace::Trace &tr) const
 {
+    return compileWithHash(tr, 0);
+}
+
+compiler::Program
+UfcModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
+{
     UfcPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
+    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
+                                  nullptr, traceHash);
+}
+
+u64
+UfcModel::loweringKey(const trace::Trace &tr) const
+{
+    return chipLoweringKey(kUfcKeyTag, loweringOptions(), tr);
+}
+
+compiler::Program
+UfcModel::recost(const compiler::Program &lowered) const
+{
+    return compiler::recost(lowered, UfcPerf(cfg_), name());
 }
 
 compiler::Program
@@ -213,8 +279,9 @@ UfcModel::execute(const compiler::Program &program,
                   const RunOptions &opts) const
 {
     ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
+    RunResult r = attach(executeProgram(program, name(), UfcPerf(cfg_), opts,
+                                        &cc),
+                         opts, program.workload);
     r.phaseCacheHits = cc.hits;
     r.phaseCacheMisses = cc.misses;
     return r;
@@ -249,10 +316,8 @@ SharpModel::loweringOptions() const
 {
     compiler::LoweringOptions lopts;
     lopts.wordBits = cfg_.wordBits;
-    lopts.totalButterflies = 1024; // pipelined NTTU width
     lopts.totalVectorLanes = 2048;
     lopts.autoViaNtt = false;       // all-to-all NoC automorphism
-    lopts.rotateAsMonomialMul = false;
     lopts.smallPolyPacking = false;
     lopts.onTheFlyKeyGen = true;    // SHARP also generates keys on die
     return lopts;
@@ -271,9 +336,28 @@ SharpModel::attach(const RunStats &stats, const RunOptions &opts,
 compiler::Program
 SharpModel::compile(const trace::Trace &tr) const
 {
+    return compileWithHash(tr, 0);
+}
+
+compiler::Program
+SharpModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
+{
     rejectUnsupported(tr);
     baselines::SharpPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
+    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
+                                  nullptr, traceHash);
+}
+
+u64
+SharpModel::loweringKey(const trace::Trace &tr) const
+{
+    return chipLoweringKey(kSharpKeyTag, loweringOptions(), tr);
+}
+
+compiler::Program
+SharpModel::recost(const compiler::Program &lowered) const
+{
+    return compiler::recost(lowered, baselines::SharpPerf(cfg_), name());
 }
 
 compiler::Program
@@ -298,8 +382,9 @@ SharpModel::execute(const compiler::Program &program,
                     const RunOptions &opts) const
 {
     ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
+    RunResult r = attach(executeProgram(program, name(), baselines::SharpPerf(cfg_), opts,
+                                        &cc),
+                         opts, program.workload);
     r.phaseCacheHits = cc.hits;
     r.phaseCacheMisses = cc.misses;
     return r;
@@ -332,10 +417,8 @@ StrixModel::loweringOptions() const
 {
     compiler::LoweringOptions lopts;
     lopts.wordBits = cfg_.wordBits;
-    lopts.totalButterflies = cfg_.butterflies;
     lopts.totalVectorLanes = static_cast<int>(cfg_.macWordsPerCycle);
     lopts.autoViaNtt = false;
-    lopts.rotateAsMonomialMul = false;
     // Strix batches bootstraps through its streaming pipeline; modeled as
     // packing over its (narrower) datapath.
     lopts.smallPolyPacking = true;
@@ -357,9 +440,28 @@ StrixModel::attach(const RunStats &stats, const RunOptions &opts,
 compiler::Program
 StrixModel::compile(const trace::Trace &tr) const
 {
+    return compileWithHash(tr, 0);
+}
+
+compiler::Program
+StrixModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
+{
     rejectUnsupported(tr);
     baselines::StrixPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
+    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
+                                  nullptr, traceHash);
+}
+
+u64
+StrixModel::loweringKey(const trace::Trace &tr) const
+{
+    return chipLoweringKey(kStrixKeyTag, loweringOptions(), tr);
+}
+
+compiler::Program
+StrixModel::recost(const compiler::Program &lowered) const
+{
+    return compiler::recost(lowered, baselines::StrixPerf(cfg_), name());
 }
 
 compiler::Program
@@ -382,8 +484,9 @@ StrixModel::execute(const compiler::Program &program,
                     const RunOptions &opts) const
 {
     ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
+    RunResult r = attach(executeProgram(program, name(), baselines::StrixPerf(cfg_), opts,
+                                        &cc),
+                         opts, program.workload);
     r.phaseCacheHits = cc.hits;
     r.phaseCacheMisses = cc.misses;
     return r;

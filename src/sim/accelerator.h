@@ -14,7 +14,13 @@
  *
  * so callers that run one trace under many options (DSE sweeps, the
  * batch runner via its ProgramCache, watchdog bisection) pay the
- * lowering cost once.  `run(trace, opts)` remains as a convenience shim
+ * lowering cost once.  Across machines the lowering is shared too: two
+ * models with equal loweringKey(tr) lower `tr` to the same body, so
+ *
+ *     compiler::Program q = other->recost(p);       // no re-lowering
+ *
+ * gives `other` a Program bit-identical to other->compile(trace) that
+ * shares p's body and only carries its own per-shape cost table.  `run(trace, opts)` remains as a convenience shim
  * over compile+execute — kept deprecated-but-tested for the figure
  * benches and external callers; new code should prefer the split API.
  * With RunOptions::execMode == ExecMode::TraceIr, run() instead takes
@@ -64,6 +70,33 @@ class AcceleratorModel
     virtual compiler::Program compile(const trace::Trace &tr) const = 0;
 
     /**
+     * compile() for a caller that already holds trace::contentHash(tr)
+     * (the batch runner hashes each trace once per batch).  Single-chip
+     * models stamp `traceHash` instead of re-hashing; the default
+     * forwards to compile(tr).
+     */
+    virtual compiler::Program compileWithHash(const trace::Trace &tr,
+                                              u64 traceHash) const;
+
+    /**
+     * Key of the lowered body compile(tr) produces: models whose keys
+     * are equal for `tr` lower it to the same body, so one compile()
+     * serves them all through recost().  Single-chip models digest
+     * their class and the LoweringOptions fields the lowering of `tr`
+     * reads (compiler::loweringKey).  The default is unique per model
+     * instance, so a model that does not override it never shares.
+     */
+    virtual u64 loweringKey(const trace::Trace &tr) const;
+
+    /**
+     * `lowered` — produced by compile() on a model whose loweringKey()
+     * equals this one's for the same trace — re-costed for this
+     * machine: it shares lowered's body and is bit-identical to
+     * compiling the trace here.  The default throws ConfigError.
+     */
+    virtual compiler::Program recost(const compiler::Program &lowered) const;
+
+    /**
      * Streaming variant of compile(): parse, validate and lower the
      * trace text chunk-by-chunk from `is` (see
      * compiler::compileTraceStream for the chunk-protocol contract).
@@ -81,7 +114,8 @@ class AcceleratorModel
     /**
      * Execute a Program previously produced by this model's compile()
      * under the given per-run options.  Throws ConfigError when the
-     * Program was compiled for a different machine.
+     * Program was compiled for a different machine (another model name,
+     * or cost terms from other MachinePerf constants).
      */
     virtual RunResult execute(const compiler::Program &program,
                               const RunOptions &opts) const = 0;
@@ -127,9 +161,14 @@ class UfcModel : public AcceleratorModel
                           compiler::Parallelism::TvLP);
 
     compiler::Program compile(const trace::Trace &tr) const override;
+    compiler::Program compileWithHash(const trace::Trace &tr,
+                                      u64 traceHash) const override;
     compiler::Program compileStream(
         std::istream &is,
         std::size_t chunkBytes = trace::kTraceReadChunk) const override;
+    u64 loweringKey(const trace::Trace &tr) const override;
+    compiler::Program
+    recost(const compiler::Program &lowered) const override;
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;
@@ -159,9 +198,14 @@ class SharpModel : public AcceleratorModel
         const baselines::SharpConfig &cfg = baselines::SharpConfig{});
 
     compiler::Program compile(const trace::Trace &tr) const override;
+    compiler::Program compileWithHash(const trace::Trace &tr,
+                                      u64 traceHash) const override;
     compiler::Program compileStream(
         std::istream &is,
         std::size_t chunkBytes = trace::kTraceReadChunk) const override;
+    u64 loweringKey(const trace::Trace &tr) const override;
+    compiler::Program
+    recost(const compiler::Program &lowered) const override;
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;
@@ -189,9 +233,14 @@ class StrixModel : public AcceleratorModel
         const baselines::StrixConfig &cfg = baselines::StrixConfig{});
 
     compiler::Program compile(const trace::Trace &tr) const override;
+    compiler::Program compileWithHash(const trace::Trace &tr,
+                                      u64 traceHash) const override;
     compiler::Program compileStream(
         std::istream &is,
         std::size_t chunkBytes = trace::kTraceReadChunk) const override;
+    u64 loweringKey(const trace::Trace &tr) const override;
+    compiler::Program
+    recost(const compiler::Program &lowered) const override;
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;
@@ -217,7 +266,8 @@ class StrixModel : public AcceleratorModel
  * scheme-switching data crosses a PCIe 5.0 x16 link.  compile()
  * partitions the trace and compiles one sub-Program per chip
  * (Program::parts); execute() runs the parts on the sub-models and
- * combines time/energy with the PCIe link terms.
+ * combines time/energy with the PCIe link terms.  It keeps the default
+ * per-instance loweringKey(), so its Programs are never re-costed.
  */
 class ComposedModel : public AcceleratorModel
 {

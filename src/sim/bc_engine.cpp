@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "common/error.h"
 #include "sim/timeline.h"
@@ -63,7 +64,8 @@ mixStats(u64 &h, const RunStats &s)
 
 BytecodeEngine::BytecodeEngine(const compiler::Program *program,
                                int prefetchWindow)
-    : program_(program), window_(prefetchWindow)
+    : program_(program), costs_(program->costs.data()),
+      fill_(program->fillCycles), window_(prefetchWindow)
 {
     slots_.resize(program_->spadSlots);
     if (window_ > 0)
@@ -152,6 +154,8 @@ BytecodeEngine::step(const compiler::BcInst &b)
             detail::throwHostDeadline(stats_.instCount, computeClock_);
     }
 
+    const compiler::CostRow &c = costs_[b.shape];
+
     // Memory phase.  Stream instructions carry it pre-computed; Mem
     // instructions walk their operand records in original order so the
     // floating-point accumulation matches the IR engine's.
@@ -159,9 +163,9 @@ BytecodeEngine::step(const compiler::BcInst &b)
     double wbBytes;
     double memCycles;
     if (b.kind == compiler::BcKind::Stream) {
-        fetchBytes = b.staticFetchBytes;
+        fetchBytes = c.staticFetchBytes;
         wbBytes = 0.0;
-        memCycles = b.staticMemCycles;
+        memCycles = c.staticMemCycles;
     } else {
         fetchBytes = 0.0;
         wbBytes = 0.0;
@@ -198,7 +202,7 @@ BytecodeEngine::step(const compiler::BcInst &b)
 
     const double computeBefore = computeClock_;
     const double start = std::max(computeBefore, memDone);
-    const double done = start + b.computeCycles + b.fillCycles;
+    const double done = start + c.computeCycles + fill_;
     computeClock_ = done;
 
     if (maxCycles_ > 0 && computeClock_ > static_cast<double>(maxCycles_))
@@ -222,36 +226,36 @@ BytecodeEngine::step(const compiler::BcInst &b)
         }
     }
 
-    stats_.busyCycles[b.resource] += b.busyLaneCycles;
+    stats_.busyCycles[c.resource] += c.busyLaneCycles;
     stats_.busyCycles[static_cast<int>(isa::Resource::Noc)] +=
-        b.nocCycles;
+        c.nocCycles;
     stats_.hbmBytes += fetchBytes + wbBytes;
     stats_.hbmBusyCycles += memCycles;
     ++stats_.instCount;
 
     const double wait = start - computeBefore;
-    OpStats &op = stats_.opStats[b.op];
+    OpStats &op = stats_.opStats[c.op];
     ++op.count;
-    op.cycles += wait + b.computeCycles + b.fillCycles;
-    op.computeCycles += b.computeCycles;
+    op.cycles += wait + c.computeCycles + fill_;
+    op.computeCycles += c.computeCycles;
     op.stallCycles += wait;
-    op.fillCycles += b.fillCycles;
+    op.fillCycles += fill_;
     op.hbmBytes += fetchBytes + wbBytes;
 
     const double hbmOverlap = std::min(wait, memCycles);
     stats_.stalls.hbmBound += hbmOverlap;
     stats_.stalls.dependency += wait - hbmOverlap;
-    stats_.stalls.pipelineFill += b.fillCycles;
+    stats_.stalls.pipelineFill += fill_;
     stats_.stalls.spadWritebackBytes += wbBytes;
     stats_.stalls.spadSpillCycles +=
         wbBytes / program_->hbmBytesPerCycle;
 
     if constexpr (WithTimeline) {
-        const char *name = isa::opName(static_cast<isa::HwOp>(b.op));
+        const char *name = isa::opName(static_cast<isa::HwOp>(c.op));
         if (memCycles > 0)
             timeline_->addSlice(Timeline::kHbmTrack, name, memStart,
                                 memDone, fetchBytes + wbBytes);
-        timeline_->addSlice(static_cast<int>(b.resource), name, start,
+        timeline_->addSlice(static_cast<int>(c.resource), name, start,
                             done);
     }
 }
@@ -377,10 +381,14 @@ template <bool WithTimeline>
 void
 BytecodeEngine::exec()
 {
-    const auto &code = program_->code;
-    const auto &events = program_->phaseEvents;
-    const auto &loops = program_->loops;
-    const auto &segs = program_->segments;
+    // Plain views of the shared body arrays for the dispatch loop.
+    const auto view = [](const auto &arr) {
+        return std::span(arr.data(), arr.size());
+    };
+    const auto code = view(program_->code);
+    const auto events = view(program_->phaseEvents);
+    const auto loops = view(program_->loops);
+    const auto segs = view(program_->segments);
     const size_t n = code.size();
     size_t ev = 0;
     size_t i = 0;
@@ -486,6 +494,12 @@ BytecodeEngine::run()
                "BytecodeEngine cannot execute a composed Program ('"
                    << program_->machine
                    << "'); decompose it via ComposedModel::execute");
+    UFC_EXPECT(program_->costs.size() == program_->shapes.size(),
+               ConfigError,
+               "Program '" << program_->workload << "' has "
+                   << program_->costs.size() << " cost rows for "
+                   << program_->shapes.size()
+                   << " cost shapes; cost it with compiler::costProgram");
     // Cheap structural screen of the loop table (the executor trusts it
     // for control flow); verifyProgram() covers the full invariants.
     u64 prevEnd = 0;

@@ -5,10 +5,11 @@
  *
  * The executor replicates CycleEngine::issue() arithmetic operation for
  * operation — same expressions, same evaluation order, same divisions —
- * over the pre-computed BcInst terms, so its RunStats (and an attached
+ * over the pre-computed cost-table terms, so its RunStats (and an attached
  * Timeline, and a TimeoutError trip) are bit-identical to the IR
  * interpreter's.  What changes is the cost per instruction:
- *   - no virtual cost-model calls (terms are baked into the BcInst),
+ *   - no virtual cost-model calls (terms come from the Program's
+ *     per-machine cost table, indexed by each BcInst's shape id),
  *   - the scratchpad is a dense slot array with an intrusive LRU list
  *     instead of unordered_map + std::list,
  *   - the prefetch window is a flat ring buffer instead of a deque,
@@ -114,6 +115,9 @@ class BytecodeEngine
     void restoreState(const PhaseExitState &s);
 
     const compiler::Program *program_;
+    // The Program's cost table, read once per step.
+    const compiler::CostRow *costs_;
+    double fill_; ///< Program::fillCycles
     int window_;
     Timeline *timeline_ = nullptr;
     u64 maxCycles_ = 0;

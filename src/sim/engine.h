@@ -80,6 +80,10 @@ class MachinePerf
      *  datapath is occupied but does no useful work (lowers utilization
      *  of fine-grained instruction streams, e.g. TFHE blind rotation). */
     virtual double pipelineFillCycles() const { return 24.0; }
+    /** Digest of every constant the terms above read.  A Program is
+     *  stamped with the digest it was costed under, and execute()
+     *  rejects it on a model whose digest differs. */
+    virtual u64 digest() const = 0;
 };
 
 /** LRU scratchpad at operand-buffer granularity. */

@@ -6,7 +6,10 @@
 #include "sim/ufc_perf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+
+#include "trace/trace.h"
 
 namespace ufc {
 namespace sim {
@@ -148,6 +151,26 @@ double
 UfcPerf::scratchpadBytes() const
 {
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
+}
+
+u64
+UfcPerf::digest() const
+{
+    using trace::detail::mix64;
+    const auto bits = [](double v) { return std::bit_cast<u64>(v); };
+    u64 h = trace::detail::kFnvOffset;
+    mix64(h, 0x55464350u); // "UFCP": the cost expressions above
+    mix64(h, static_cast<u64>(cfg_.peRows));
+    mix64(h, static_cast<u64>(cfg_.peCols));
+    mix64(h, static_cast<u64>(cfg_.butterfliesPerPe));
+    mix64(h, static_cast<u64>(cfg_.lanesPerPe));
+    mix64(h, static_cast<u64>(cfg_.cgNetworks));
+    mix64(h, static_cast<u64>(cfg_.globalNocWordsPerCycle));
+    mix64(h, static_cast<u64>(cfg_.crossbarPorts));
+    mix64(h, bits(hbmBytesPerCycle()));
+    mix64(h, bits(scratchpadBytes()));
+    mix64(h, bits(pipelineFillCycles()));
+    return h;
 }
 
 } // namespace sim

@@ -29,6 +29,7 @@ class UfcPerf : public MachinePerf
     double scratchpadBytes() const override;
     /** Flattened (non-pipelined) function units refill quickly. */
     double pipelineFillCycles() const override { return 10.0; }
+    u64 digest() const override;
 
   private:
     /** Penalty multiplier for splitting the CG network (Figure 13). */

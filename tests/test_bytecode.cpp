@@ -359,12 +359,15 @@ TEST(BytecodeProgram, ProgramCacheCompilesOncePerModelTracePair)
     EXPECT_EQ(cache.compiles(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
 
-    // A different model instance is a different key even for the same
-    // trace (DSE sweeps depend on this: configs must not share code).
+    // A different model instance gets its own Program, but one with an
+    // equal lowering key re-costs the installed body instead of
+    // lowering the trace again (DSE points share code, not costs).
     const auto other = std::make_shared<UfcModel>();
     const auto p3 = cache.get(*other, tr);
     EXPECT_NE(p1.get(), p3.get());
-    EXPECT_EQ(cache.compiles(), 2u);
+    EXPECT_TRUE(p3->code.sharesWith(p1->code));
+    EXPECT_EQ(cache.compiles(), 1u);
+    EXPECT_EQ(cache.recosts(), 1u);
 
     // Cached Programs execute identically to a fresh run.
     EXPECT_EQ(model->execute(*p1).toJson(), model->run(tr).toJson());
@@ -453,7 +456,7 @@ TEST(BytecodeFusion, VerifierFlagsRunOverrun)
 {
     size_t head = 0;
     compiler::Program program = programWithRun(&head);
-    program.code[head].runLen =
+    program.code.edit()[head].runLen =
         static_cast<u16>(program.code.size() - head + 1);
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
@@ -465,7 +468,7 @@ TEST(BytecodeFusion, VerifierFlagsCachedOperandInsideRun)
 {
     size_t head = 0;
     compiler::Program program = programWithRun(&head);
-    program.code[head + 1].kind = compiler::BcKind::Mem;
+    program.code.edit()[head + 1].kind = compiler::BcKind::Mem;
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
     ASSERT_GT(rep.errorCount(), 0u);
@@ -476,9 +479,10 @@ TEST(BytecodeFusion, VerifierFlagsPhaseMarkerInsideRun)
 {
     size_t head = 0;
     compiler::Program program = programWithRun(&head);
-    program.phaseEvents.push_back(compiler::PhaseEvent{
-        static_cast<u64>(head) + 1, compiler::PhaseEvent::kEnd});
-    std::sort(program.phaseEvents.begin(), program.phaseEvents.end(),
+    auto &events = program.phaseEvents.edit();
+    events.push_back(compiler::PhaseEvent{static_cast<u64>(head) + 1,
+                                          compiler::PhaseEvent::kEnd});
+    std::sort(events.begin(), events.end(),
               [](const compiler::PhaseEvent &a,
                  const compiler::PhaseEvent &b) { return a.inst < b.inst; });
     analysis::DiagnosticReport rep;
@@ -624,18 +628,19 @@ TEST(BytecodeLoops, VerifierFlagsMalformedLoops)
     };
 
     compiler::Program degenerate = good;
-    degenerate.loops.front().trips = 1;
+    degenerate.loops.edit().front().trips = 1;
     EXPECT_EQ(firstRule(degenerate), "bc-loop-invariant");
 
     compiler::Program oob = good;
-    oob.loops.back().end = oob.code.size() + 7;
+    oob.loops.edit().back().end = oob.code.size() + 7;
     EXPECT_EQ(firstRule(oob), "bc-loop-invariant");
 
     compiler::Program marked = good;
-    const compiler::BcLoop &lp = marked.loops.front();
-    marked.phaseEvents.push_back(compiler::PhaseEvent{
+    const compiler::BcLoop &lp = marked.loops[0];
+    auto &events = marked.phaseEvents.edit();
+    events.push_back(compiler::PhaseEvent{
         lp.end - (lp.bodyLen > 1 ? 1 : 0), compiler::PhaseEvent::kEnd});
-    std::sort(marked.phaseEvents.begin(), marked.phaseEvents.end(),
+    std::sort(events.begin(), events.end(),
               [](const compiler::PhaseEvent &a,
                  const compiler::PhaseEvent &b) { return a.inst < b.inst; });
     if (lp.bodyLen > 1) {
@@ -650,7 +655,7 @@ TEST(BytecodeLoops, EngineRejectsMalformedLoopTable)
     const UfcModel model;
     compiler::Program program = foldedTfheProgram(model);
     ASSERT_FALSE(program.loops.empty());
-    program.loops.front().end = program.code.size() + 1;
+    program.loops.edit().front().end = program.code.size() + 1;
     EXPECT_THROW(model.execute(program), ConfigError);
 }
 

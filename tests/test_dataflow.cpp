@@ -92,13 +92,28 @@ struct Operand
     bool write;
 };
 
+/** Append a cost shape and its cost row; returns the shape id. */
+u32
+addShape(compiler::Program &p, double computeCycles, double fetchBytes)
+{
+    compiler::CostShape shape;
+    shape.staticFetchBytes = fetchBytes;
+    compiler::CostRow row;
+    row.computeCycles = computeCycles;
+    row.staticFetchBytes = fetchBytes;
+    row.staticMemCycles = fetchBytes / p.hbmBytesPerCycle;
+    p.shapes.edit().push_back(shape);
+    p.costs.push_back(row);
+    return static_cast<u32>(p.costs.size() - 1);
+}
+
 u64
 addMemInst(compiler::Program &p, const std::vector<Operand> &operands,
            double computeCycles = 10.0)
 {
     compiler::BcInst inst;
     inst.kind = compiler::BcKind::Mem;
-    inst.computeCycles = computeCycles;
+    inst.shape = addShape(p, computeCycles, 0.0);
     inst.bufBegin = static_cast<u32>(p.bufs.size());
     inst.bufCount = static_cast<u16>(operands.size());
     for (const Operand &o : operands) {
@@ -107,9 +122,9 @@ addMemInst(compiler::Program &p, const std::vector<Operand> &operands,
         buf.bytes = o.bytes;
         buf.slot = o.slot;
         buf.write = o.write;
-        p.bufs.push_back(buf);
+        p.bufs.edit().push_back(buf);
     }
-    p.code.push_back(inst);
+    p.code.edit().push_back(inst);
     return p.code.size() - 1;
 }
 
@@ -119,11 +134,9 @@ addStreamInst(compiler::Program &p, double fetchBytes = 64.0,
 {
     compiler::BcInst inst;
     inst.kind = compiler::BcKind::Stream;
-    inst.computeCycles = 10.0;
-    inst.staticFetchBytes = fetchBytes;
-    inst.staticMemCycles = fetchBytes / p.hbmBytesPerCycle;
+    inst.shape = addShape(p, 10.0, fetchBytes);
     inst.runLen = runLen;
-    p.code.push_back(inst);
+    p.code.edit().push_back(inst);
     return p.code.size() - 1;
 }
 
@@ -180,7 +193,7 @@ TEST(DataflowCfg, ProgramCfgLoopBodyCarriesTripsAndSelfEdge)
     compiler::Program p = progSkeleton(0, 0.0);
     for (int i = 0; i < 4; ++i)
         addStreamInst(p);
-    p.loops.push_back(compiler::BcLoop{3, 2, 5}); // body [1, 3) x5
+    p.loops.edit().push_back(compiler::BcLoop{3, 2, 5}); // body [1, 3) x5
 
     const Cfg cfg = analysis::cfgFromProgram(p);
     ASSERT_EQ(cfg.blocks.size(), 3u);
@@ -456,13 +469,13 @@ TEST(DataflowProgramRules, LoopMemdepPositiveAndNegative)
     compiler::Program bad = progSkeleton(1, 4096.0);
     addStreamInst(bad);
     addMemInst(bad, {{0, 7, 100.0, false}});
-    bad.loops.push_back(compiler::BcLoop{2, 1, 3}); // body = the Mem inst
+    bad.loops.edit().push_back(compiler::BcLoop{2, 1, 3}); // body = the Mem inst
     EXPECT_TRUE(rulesIn(programReport(bad)).count("df-loop-memdep"));
 
     compiler::Program good = progSkeleton(0, 4096.0);
     addStreamInst(good);
     addStreamInst(good);
-    good.loops.push_back(compiler::BcLoop{2, 1, 3});
+    good.loops.edit().push_back(compiler::BcLoop{2, 1, 3});
     EXPECT_TRUE(programReport(good).empty());
 }
 
@@ -570,7 +583,7 @@ TEST(DataflowBounds, LoopTripsWeighTheBounds)
     addStreamInst(p, 80.0); // 10 compute + 10 mem cycles at 8 B/cycle
     compiler::Program looped = progSkeleton(0, 0.0);
     addStreamInst(looped, 80.0);
-    looped.loops.push_back(compiler::BcLoop{1, 1, 4});
+    looped.loops.edit().push_back(compiler::BcLoop{1, 1, 4});
 
     const CostBounds once = analysis::analyzeCostBounds(p);
     const CostBounds four = analysis::analyzeCostBounds(looped);

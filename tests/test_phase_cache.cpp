@@ -252,7 +252,7 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
     inst.buffers.push_back(ref);
 
     compiler::Program program;
-    compiler::ProgramBuilder builder(&perf, &program);
+    compiler::ProgramBuilder builder(&program);
     for (const char *phase : {"twin_a", "twin_b"}) {
         builder.beginPhase(phase);
         for (u64 i = 0; i < compiler::kMinSegmentInsts; ++i)
@@ -260,8 +260,8 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
         builder.endPhase();
     }
     builder.finish();
+    compiler::costProgram(program, perf, "UFC");
     program.workload = "twin";
-    program.machine = "UFC";
 
     ASSERT_EQ(program.segments.size(), 2u);
     EXPECT_EQ(compiler::segmentContentHash(program,
@@ -370,7 +370,7 @@ TEST(PhaseCacheUnit, MalformedSegmentTableRejectedWhenCacheArmed)
     compiler::Program program = model.compile(
         workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
     ASSERT_FALSE(program.segments.empty());
-    program.segments.front().end = program.code.size() + 5;
+    program.segments.edit().front().end = program.code.size() + 5;
 
     // Without a cache the table is inert and the program still runs.
     EXPECT_NO_THROW(model.execute(program));

@@ -156,34 +156,30 @@ compiler::Program
 unrolled(const compiler::Program &p)
 {
     compiler::Program out = p;
-    out.code.clear();
-    out.debug.clear();
-    out.loops.clear();
-    out.phaseEvents.clear();
-    out.segments.clear(); // regions shift; recompute is not needed here
+    out.code = {};
+    out.loops = {};
+    out.phaseEvents = {};
+    out.segments = {}; // regions shift; recompute is not needed here
+    auto &code = out.code.edit();
+    auto &events = out.phaseEvents.edit();
 
     std::size_t li = 0;
     std::size_t ev = 0;
     for (std::size_t i = 0; i <= p.code.size(); ++i) {
         while (ev < p.phaseEvents.size() && p.phaseEvents[ev].inst == i) {
-            out.phaseEvents.push_back(
-                {out.code.size(), p.phaseEvents[ev].name});
+            events.push_back({code.size(), p.phaseEvents[ev].name});
             ++ev;
         }
         if (li < p.loops.size() && p.loops[li].end == i) {
             const auto &lp = p.loops[li];
             const std::size_t bodyBegin = i - lp.bodyLen;
             for (u64 t = 1; t < lp.trips; ++t)
-                for (std::size_t k = bodyBegin; k < i; ++k) {
-                    out.code.push_back(p.code[k]);
-                    out.debug.push_back(p.debug[k]);
-                }
+                for (std::size_t k = bodyBegin; k < i; ++k)
+                    code.push_back(p.code[k]);
             ++li;
         }
-        if (i < p.code.size()) {
-            out.code.push_back(p.code[i]);
-            out.debug.push_back(p.debug[i]);
-        }
+        if (i < p.code.size())
+            code.push_back(p.code[i]);
     }
     return out;
 }
@@ -223,7 +219,7 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
     const auto build = [&](u64 trips,
                            bool &accepted) -> compiler::Program {
         compiler::Program p;
-        compiler::ProgramBuilder builder(&perf, &p);
+        compiler::ProgramBuilder builder(&p);
         accepted = builder.beginRepeat(trips);
         builder.issue(inst);
         if (accepted)
@@ -232,18 +228,18 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
             for (u64 t = 1; t < trips; ++t)
                 builder.issue(inst);
         builder.finish();
+        compiler::costProgram(p, perf, "UFC");
         p.workload = "edge";
-        p.machine = "UFC";
         return p;
     };
     const auto flat = [&](u64 trips) -> compiler::Program {
         compiler::Program p;
-        compiler::ProgramBuilder builder(&perf, &p);
+        compiler::ProgramBuilder builder(&p);
         for (u64 t = 0; t < trips; ++t)
             builder.issue(inst);
         builder.finish();
+        compiler::costProgram(p, perf, "UFC");
         p.workload = "edge";
-        p.machine = "UFC";
         return p;
     };
 
