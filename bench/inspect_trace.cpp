@@ -153,9 +153,7 @@ try {
     if (asBytecode && !tracePath.empty()) {
         // Compile-only, straight off the file through the streaming
         // reader (bounded memory; malformed files exit through the
-        // one-line diagnosis below like every other trace error).  The
-        // disassembly header lists each phase segment's content hash
-        // and default cache key.
+        // one-line diagnosis below like every other trace error).
         std::ifstream is(tracePath);
         UFC_EXPECT(is.good(), TraceError,
                    "cannot open trace file " << tracePath);

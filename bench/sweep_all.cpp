@@ -34,7 +34,6 @@
 #include "metrics/metrics.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
-#include "sim/phase_cache.h"
 
 using namespace ufc;
 
@@ -152,9 +151,6 @@ usage(const char *argv0)
         "                    results, report the speedup\n"
         "  --ir              execute every job on the legacy trace-IR\n"
         "                    interpreter instead of the bytecode engine\n"
-        "  --phase-cache     share a phase-result memoization cache\n"
-        "                    across the batch's bytecode jobs (bit-\n"
-        "                    identical results; hit rate reported)\n"
         "  --compare-ir      run the batch on both engines, verify\n"
         "                    bit-identical results, report the speedup\n"
         "  --bench-json PATH with --compare-ir: write the wall-clock\n"
@@ -191,7 +187,6 @@ try {
     bool compareSerial = false;
     bool useIr = false;
     bool compareIr = false;
-    bool usePhaseCache = false;
     std::string benchJsonPath;
     std::string metricsOutPath;
     bool noMetrics = false;
@@ -241,8 +236,6 @@ try {
             useIr = true;
         else if (arg == "--compare-ir")
             compareIr = true;
-        else if (arg == "--phase-cache")
-            usePhaseCache = true;
         else if (arg == "--bench-json")
             benchJsonPath = value();
         else if (arg == "--metrics-out")
@@ -348,12 +341,6 @@ try {
         return 0;
     }
 
-    // Batch-shared phase-result cache; outlives the runner configs that
-    // point at it.  Counters are read after each batch.
-    sim::PhaseCache phaseCache;
-    if (usePhaseCache)
-        cfg.phaseCache = &phaseCache;
-
     const runner::ExperimentRunner exec(cfg);
     const int threads = exec.effectiveThreads(jobs.size());
     std::printf("running on %d thread%s...\n", threads,
@@ -365,34 +352,6 @@ try {
     std::printf("parallel sweep: %.2f s wall (%zu/%zu jobs ok)\n",
                 parallelWall, batch.results.size() - batch.failureCount(),
                 batch.results.size());
-    if (usePhaseCache) {
-        // Registry-backed when metrics are on (the same numbers every
-        // scraper sees); direct cache counters otherwise.
-        u64 hits;
-        u64 lookups;
-        u64 entries;
-        if (metrics::enabled()) {
-            hits = metrics::counter("ufc_phase_cache_hits_total").value();
-            lookups = hits +
-                      metrics::counter("ufc_phase_cache_misses_total")
-                          .value();
-            entries = static_cast<u64>(
-                metrics::gauge("ufc_phase_cache_entries").value());
-        } else {
-            hits = phaseCache.hits();
-            lookups = phaseCache.lookups();
-            entries = phaseCache.entries();
-        }
-        std::printf("phase cache: %llu hits / %llu lookups (%.1f%% hit "
-                    "rate), %llu entries\n",
-                    static_cast<unsigned long long>(hits),
-                    static_cast<unsigned long long>(lookups),
-                    lookups > 0 ? 100.0 * static_cast<double>(hits) /
-                                      static_cast<double>(lookups)
-                                : 0.0,
-                    static_cast<unsigned long long>(entries));
-    }
-
     if (bounds) {
         // Per-job static-bound audit: every checked job already passed
         // static_lower <= dynamic <= static_upper (a violation fails
@@ -480,69 +439,6 @@ try {
         }
         std::printf("bytecode results are bit-identical to trace-ir.\n");
 
-        // With the cache armed, also time cached vs uncached bytecode
-        // like for like (the IR leg above measures a different engine).
-        // The main run above was the process's first sweep — cold page
-        // cache and first-touch faults dominate its wall — so re-time
-        // the legs back to back on the now-warm process: uncached, then
-        // a fresh (empty) cache populating (the cold leg pays segment
-        // hashing and snapshots for its in-batch hits), then the same
-        // batch again over the now-populated cache (the warm leg, the
-        // memoization payoff: every segment entry replays).  Each leg is
-        // bit-identity-gated against the main batch.
-        double uncachedWall = 0.0;
-        double cachedWall = 0.0;
-        double warmWall = 0.0;
-        if (usePhaseCache) {
-            const auto verifyLeg =
-                [&](const runner::BatchResult &leg,
-                    const char *what) -> bool {
-                for (std::size_t i = 0; i < batch.results.size(); ++i) {
-                    if (batch.outcomes[i].ok() &&
-                        !identicalSimulated(batch.results[i],
-                                            leg.results[i])) {
-                        std::fprintf(stderr,
-                                     "FAIL: %s bytecode results differ "
-                                     "at %s\n",
-                                     what, batch.results[i].label.c_str());
-                        return false;
-                    }
-                }
-                return true;
-            };
-
-            runner::RunnerConfig plainCfg = cfg;
-            plainCfg.phaseCache = nullptr;
-            const runner::ExperimentRunner plainExec(plainCfg);
-            const double u0 = now();
-            const auto plainBatch = plainExec.runAll(jobs);
-            uncachedWall = now() - u0;
-            if (!verifyLeg(plainBatch, "uncached"))
-                return 1;
-
-            sim::PhaseCache freshCache;
-            runner::RunnerConfig cachedCfg = cfg;
-            cachedCfg.phaseCache = &freshCache;
-            const runner::ExperimentRunner cachedExec(cachedCfg);
-            const double c0 = now();
-            const auto cachedBatch = cachedExec.runAll(jobs);
-            cachedWall = now() - c0;
-            if (!verifyLeg(cachedBatch, "cold-cached"))
-                return 1;
-
-            const double w0 = now();
-            const auto warmBatch = cachedExec.runAll(jobs);
-            warmWall = now() - w0;
-            if (!verifyLeg(warmBatch, "warm-cached"))
-                return 1;
-
-            std::printf("re-timed bytecode sweep: uncached %.2f s, "
-                        "cold cache %.2f s, warm cache %.2f s "
-                        "(warm %.2fx vs uncached, bit-identical)\n",
-                        uncachedWall, cachedWall, warmWall,
-                        uncachedWall / warmWall);
-        }
-
         if (!benchJsonPath.empty()) {
             std::ofstream f(benchJsonPath);
             if (!f) {
@@ -563,22 +459,7 @@ try {
               << ",\n"
               << "  \"trace_ir_wall_seconds\": " << num(irWall) << ",\n"
               << "  \"speedup\": " << num(speedup) << ",\n"
-              << "  \"bit_identical\": true,\n"
-              << "  \"phase_cache\": {\n"
-              << "    \"enabled\": "
-              << (usePhaseCache ? "true" : "false") << ",\n"
-              << "    \"hits\": " << phaseCache.hits() << ",\n"
-              << "    \"lookups\": " << phaseCache.lookups() << ",\n"
-              << "    \"entries\": " << phaseCache.entries() << ",\n"
-              << "    \"uncached_bytecode_wall_seconds\": "
-              << num(uncachedWall) << ",\n"
-              << "    \"cold_cached_wall_seconds\": " << num(cachedWall)
-              << ",\n"
-              << "    \"warm_cached_wall_seconds\": " << num(warmWall)
-              << ",\n"
-              << "    \"warm_speedup_vs_uncached\": "
-              << num(warmWall > 0.0 ? uncachedWall / warmWall : 0.0)
-              << "\n  }\n}\n";
+              << "  \"bit_identical\": true\n}\n";
             std::printf("wrote %s\n", benchJsonPath.c_str());
         }
     }

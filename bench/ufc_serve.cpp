@@ -59,9 +59,9 @@ usage(const char *argv0)
         "  --tenant-rate R   token refill per second (default 32)\n"
         "  --lint            lint pre-flight on jobs by default (shed\n"
         "                    under load, tier >= 1)\n"
-        "  --no-phase-cache  do not share a phase cache across requests\n"
-        "  --program-cache N bound on the compiled-program cache\n"
-        "                    (default 256 entries)\n"
+        "  --program-cache N bound on the compiled-program cache and\n"
+        "                    on the generated-trace cache (default 256\n"
+        "                    entries each)\n"
         "  --retention N     terminal results retained for queries and\n"
         "                    the final report (default 8192)\n"
         "  --report PATH     final ufc.report/v2 envelope on drain\n"
@@ -115,8 +115,6 @@ try {
             cfg.tenantRatePerSec = std::atof(value());
         else if (arg == "--lint")
             cfg.lintPreflight = true;
-        else if (arg == "--no-phase-cache")
-            cfg.usePhaseCache = false;
         else if (arg == "--program-cache")
             cfg.programCacheMaxEntries =
                 static_cast<std::size_t>(std::atoll(value()));

@@ -10,9 +10,8 @@
  *     cyclesLower <= RunStats::totalCycles <= cyclesUpper
  *     hbmLower    <= RunStats::hbmBytes    <= hbmUpper
  *
- * for every prefetch window and with or without the phase cache (the
- * cache is bit-exact, so it cannot move the dynamic numbers).  The
- * derivation leans on three engine facts (sim/bc_engine.cpp):
+ * for every prefetch window.  The derivation leans on three engine
+ * facts (sim/bc_engine.cpp):
  *
  *   1. totalCycles telescopes to the final compute clock, and each
  *      instruction advances it by wait + computeCycles + fillCycles,

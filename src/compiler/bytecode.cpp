@@ -68,17 +68,6 @@ resetPeakLivePrograms()
                             std::memory_order_relaxed);
 }
 
-u64
-phaseCacheKeyBase(u64 segContentHash, int prefetchWindow, u64 maxCycles)
-{
-    u64 h = trace::detail::kFnvOffset;
-    trace::detail::mix64(h, segContentHash);
-    trace::detail::mix64(
-        h, static_cast<u64>(static_cast<i64>(prefetchWindow)));
-    trace::detail::mix64(h, maxCycles);
-    return h;
-}
-
 const char *
 fuseKindName(FuseKind kind)
 {
@@ -293,101 +282,6 @@ ProgramBuilder::endRepeat()
     out_->loops.edit().push_back(lp); // emission order keeps it sorted
 }
 
-/**
- * Digest of everything that determines how code[begin, end) executes on
- * this Program's machine: the cost terms (read through the cost table),
- * the packed flag fields, Mem operand records (slot/bytes/flags — buffer
- * ids are diagnostics only and deliberately excluded), and the loop rows
- * inside the segment with `end` re-based to the segment so position in
- * the program does not matter.  Doubles are hashed by bit pattern;
- * records are never hashed as raw memory (they have padding).
- */
-u64
-segmentContentHash(const Program &p, u64 begin, u64 end)
-{
-    using trace::detail::mix64;
-    const auto bits = [](double v) { return std::bit_cast<u64>(v); };
-    u64 h = trace::detail::kFnvOffset;
-    mix64(h, bits(p.hbmBytesPerCycle));
-    mix64(h, bits(p.scratchpadBytes));
-    mix64(h, bits(p.fillCycles));
-    mix64(h, static_cast<u64>(p.spadSlots));
-    mix64(h, end - begin);
-    for (u64 i = begin; i < end; ++i) {
-        const BcInst &b = p.code[static_cast<size_t>(i)];
-        const CostRow &c = p.cost(b);
-        // Fold the instruction's fields into one word with position-
-        // distinguishing rotations, then apply a single strong mix:
-        // per-field mixing over every instruction of every region
-        // tripled the hashing time.
-        u64 acc = bits(c.computeCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.busyLaneCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.nocCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.staticFetchBytes);
-        acc = std::rotl(acc, 9) ^ bits(c.staticMemCycles);
-        acc = std::rotl(acc, 9) ^ ((static_cast<u64>(b.runLen) << 24) |
-                                   (static_cast<u64>(c.op) << 16) |
-                                   (static_cast<u64>(c.resource) << 8) |
-                                   (static_cast<u64>(b.kind) << 4) |
-                                   static_cast<u64>(b.fuse));
-        mix64(h, acc);
-        if (b.kind == BcKind::Mem) {
-            mix64(h, static_cast<u64>(b.bufCount));
-            for (u16 k = 0; k < b.bufCount; ++k) {
-                const BcBuf &buf =
-                    p.bufs[b.bufBegin + static_cast<u32>(k)];
-                u64 ba = bits(buf.bytes);
-                ba = std::rotl(ba, 9) ^ static_cast<u64>(buf.slot);
-                ba = std::rotl(ba, 9) ^ ((buf.write ? 2u : 0u) |
-                                         (buf.streamed ? 1u : 0u));
-                mix64(h, ba);
-            }
-        }
-    }
-    for (const BcLoop &lp : p.loops) {
-        const u64 start = lp.end - lp.bodyLen;
-        // Loops never straddle phase markers (bc-loop-invariant), so a
-        // loop is either fully inside the segment or fully outside.
-        if (start >= begin && lp.end <= end) {
-            mix64(h, lp.end - begin);
-            mix64(h, static_cast<u64>(lp.bodyLen));
-            mix64(h, lp.trips);
-        }
-    }
-    return h;
-}
-
-namespace {
-
-/** Record the top-level phase regions worth memoizing (PhaseSegment).
- *  Bounds only — content digests are computed on demand by the engine
- *  (segmentContentHash), so compiling never pays for hashing. */
-void
-computeSegments(Program &p)
-{
-    std::vector<PhaseSegment> &segments = p.segments.edit();
-    int depth = 0;
-    u64 openInst = 0;
-    i32 openName = PhaseEvent::kEnd;
-    for (const auto &ev : p.phaseEvents) {
-        if (ev.name == PhaseEvent::kEnd) {
-            if (depth > 0 && --depth == 0 && ev.inst > openInst &&
-                ev.inst - openInst >= kMinSegmentInsts) {
-                segments.push_back(
-                    PhaseSegment{openInst, ev.inst, openName});
-            }
-        } else {
-            if (depth == 0) {
-                openInst = ev.inst;
-                openName = ev.name;
-            }
-            ++depth;
-        }
-    }
-}
-
-} // namespace
-
 void
 ProgramBuilder::finish()
 {
@@ -396,7 +290,6 @@ ProgramBuilder::finish()
     finished_ = true;
     out_->spadSlots = static_cast<u32>(slots_.size());
     fuse();
-    computeSegments(*out_);
 }
 
 namespace {
@@ -946,33 +839,6 @@ disassemble(const Program &program, std::ostream &os)
        << " loops=" << program.loops.size() << " executed="
        << program.totalInsts() << " shapes=" << program.shapes.size()
        << "\n";
-    if (!program.segments.empty()) {
-        // Phase-cache debuggability: the content digest of each
-        // memoizable region plus the cache-key base at the default run
-        // parameters (prefetchWindow=kDefaultPrefetchWindow, no
-        // maxCycles watchdog); the engine folds its entry state on top.
-        os << "  segments=" << program.segments.size()
-           << " (phase cache; key base at window="
-           << sim::CycleEngine::kDefaultPrefetchWindow
-           << " maxCycles=0)\n";
-        for (size_t s = 0; s < program.segments.size(); ++s) {
-            const PhaseSegment &seg = program.segments[s];
-            const char *name =
-                seg.name >= 0
-                    ? program.phaseNames[static_cast<size_t>(seg.name)]
-                          .c_str()
-                    : "?";
-            const u64 digest =
-                segmentContentHash(program, seg.begin, seg.end);
-            os << "    seg#" << s << " phase=" << name << " ["
-               << seg.begin << ", " << seg.end << ") phase_hash="
-               << std::hex << std::showbase << digest << " cache_key="
-               << phaseCacheKeyBase(
-                      digest, sim::CycleEngine::kDefaultPrefetchWindow,
-                      0)
-               << std::dec << std::noshowbase << "\n";
-        }
-    }
 
     size_t ev = 0;
     const auto &events = program.phaseEvents;

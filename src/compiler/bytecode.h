@@ -13,7 +13,7 @@
  *
  * Lower once, cost per machine.  A Program has two parts:
  *   - the *lowered body* (LoweredBody): records, operand rows, loops,
- *     phase events, segments and the cost-shape table.  It depends only
+ *     phase events and the cost-shape table.  It depends only
  *     on the trace and the LoweringOptions the lowering read, never on
  *     the machine, and is shared (not copied) by every Program re-costed
  *     from it;
@@ -252,27 +252,14 @@ struct BcLoop
 };
 
 /**
- * A memoizable phase region: instructions [begin, end) of the code form
- * one top-level phase whose boundaries never sit inside a fused run or a
- * folded loop (fusion and folding both break at phase markers).  Only
- * regions of at least kMinSegmentInsts instructions are recorded,
- * bounding the per-segment snapshot overhead to a small fraction of the
- * execution they can save.  Sorted by begin; disjoint.
- *
- * Segments carry no content digest: hashing every recorded region on
- * every compile taxed runs that never arm a phase cache.  The engine
- * (and the disassembler) compute segmentContentHash() on demand instead,
- * so uncached runs pay nothing for the segment table.
+ * Retired: a phase region the old phase cache memoized.  Whole runs are
+ * memoized now (runner::ProgramCache), so no region is recorded.  The
+ * type and the always-empty Program::segments remain only for source
+ * compatibility with existing size probes, like BcDebug.
  */
 struct PhaseSegment
 {
-    u64 begin = 0; ///< first instruction of the region
-    u64 end = 0;   ///< one past the last instruction
-    i32 name = -1; ///< phaseNames index of the region
 };
-
-/** Smallest phase region worth memoizing (see PhaseSegment). */
-inline constexpr u64 kMinSegmentInsts = 512;
 
 /**
  * The machine-independent part of a Program: everything the lowering,
@@ -287,37 +274,12 @@ struct LoweredBody
     SharedArray<PhaseEvent> phaseEvents;
     SharedArray<std::string> phaseNames; ///< owned; outlives the trace
     SharedArray<CostShape> shapes;       ///< distinct cost shapes
-    SharedArray<PhaseSegment> segments;  ///< memoizable phase regions
     u32 spadSlots = 0;                   ///< dense scratchpad slot count
 
     // Fusion statistics (disassembly / bench reporting).
     u64 fusedRuns = 0;
     u64 fusedInsts = 0;
 };
-
-struct Program;
-
-/**
- * FNV-1a digest of everything that determines how code[begin, end)
- * executes on this Program's machine — the per-instruction cost terms
- * (read through the cost table), operand records (slot/bytes/flags;
- * buffer ids are diagnostics and excluded), loop rows relative to the
- * segment, and the machine constants — so equal hashes mean replaying
- * one region's exit state for the other is exact *provided the engine
- * entry states also match*; the phase cache (sim/phase_cache.h) keys on
- * both.  Computed lazily: the engine hashes a Program's segments once per
- * run, and only when a cache is armed.
- */
-u64 segmentContentHash(const Program &p, u64 begin, u64 end);
-
-/**
- * First component of a phase-cache key: the segment content digest
- * combined with the run parameters that change execution (prefetch
- * window, maxCycles watchdog).  The engine folds its entry state on top
- * of this; the disassembler prints it so cache behaviour is debuggable.
- */
-u64 phaseCacheKeyBase(u64 segContentHash, int prefetchWindow,
-                      u64 maxCycles);
 
 namespace detail {
 
@@ -378,6 +340,8 @@ struct Program : LoweredBody
     std::vector<CostRow> costs; ///< parallel to shapes
 
     std::vector<BcDebug> debug; ///< retired; always empty (see BcDebug)
+    /// Retired; always empty (see PhaseSegment).
+    std::vector<PhaseSegment> segments;
 
     // Composed-machine decomposition (see struct docs).
     std::vector<Program> parts;
@@ -480,7 +444,7 @@ class ProgramBuilder : public isa::InstSink
     bool beginRepeat(u64 trips) override;
     void endRepeat() override;
 
-    /** Seal the body: assign fused runs, segments and the slot count. */
+    /** Seal the body: assign fused runs and the slot count. */
     void finish();
 
   private:

@@ -8,9 +8,9 @@
  * *system* observable: batch latency percentiles, cache hit rates,
  * thread-pool pressure, watchdog activity — the signals a long-lived
  * simulation service needs for admission control and monitoring.  The
- * instrumented layers are the runner job lifecycle, runner::ProgramCache,
- * sim::PhaseCache, trace::TraceReader, the shared ThreadPool, and the
- * engine watchdog poll/trip points.
+ * instrumented layers are the runner job lifecycle, runner::ProgramCache
+ * (with its run memo), trace::TraceReader, the shared ThreadPool, and
+ * the engine watchdog poll/trip points.
  *
  * ## Contract (same as UFC_PROFILE)
  *

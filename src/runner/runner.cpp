@@ -106,20 +106,22 @@ programCacheMetrics()
     return *m;
 }
 
-/// Console flag for the --progress line: what the batch phase cache did
-/// for this job.
-const char *
-cacheFlag(const RunnerConfig &cfg, const sim::RunResult &r)
+/// Registry instruments for the ProgramCache run memo.
+struct RunMemoMetrics
 {
-    if (!cfg.phaseCache)
-        return "off";
-    if (r.phaseCacheHits > 0 && r.phaseCacheMisses > 0)
-        return "mixed";
-    if (r.phaseCacheHits > 0)
-        return "hit";
-    if (r.phaseCacheMisses > 0)
-        return "miss";
-    return "none"; // cache armed but no segment boundary crossed
+    metrics::Counter &hits = metrics::counter(
+        "ufc_run_memo_hits_total",
+        "Runs answered with a memoized result of an identical run");
+    metrics::Counter &misses = metrics::counter(
+        "ufc_run_memo_misses_total",
+        "Runs executed because no identical run was memoized");
+};
+
+RunMemoMetrics &
+runMemoMetrics()
+{
+    static RunMemoMetrics *m = new RunMemoMetrics();
+    return *m;
 }
 
 } // namespace
@@ -128,8 +130,9 @@ std::shared_ptr<const compiler::Program>
 ProgramCache::get(const sim::AcceleratorModel &model,
                   const trace::Trace &tr)
 {
-    return get(model, tr,
-               Key{model.loweringKey(tr), trace::contentHash(tr)});
+    return slot(model, tr,
+                Key{model.loweringKey(tr), trace::contentHash(tr)})
+        .program;
 }
 
 void
@@ -139,13 +142,14 @@ ProgramCache::limitUses(const Key &key, u64 uses)
     entries_[key].usesLeft = uses;
 }
 
-std::shared_ptr<const compiler::Program>
-ProgramCache::get(const sim::AcceleratorModel &model,
-                  const trace::Trace &tr, const Key &key)
+ProgramCache::Slot
+ProgramCache::slot(const sim::AcceleratorModel &model,
+                   const trace::Trace &tr, const Key &key)
 {
     enum class Action { Hit, Compile, Recost };
     std::promise<std::shared_ptr<const compiler::Program>> promise;
     Future entry;
+    std::shared_ptr<RunMemo> memo;
     Future source; // Recost: the installed Program to re-cost
     Action action = Action::Hit;
     u64 evicted = 0;
@@ -154,9 +158,10 @@ ProgramCache::get(const sim::AcceleratorModel &model,
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = entries_.try_emplace(key).first;
         Entry &e = it->second;
-        for (const auto &[m, fut] : e.programs) {
-            if (m == &model) {
-                entry = fut;
+        for (const Served &sv : e.programs) {
+            if (sv.model == &model) {
+                entry = sv.program;
+                memo = sv.memo;
                 break;
             }
         }
@@ -172,7 +177,8 @@ ProgramCache::get(const sim::AcceleratorModel &model,
                 action = Action::Recost;
                 source = e.lowered;
             }
-            e.programs.emplace_back(&model, entry);
+            memo = std::make_shared<RunMemo>();
+            e.programs.push_back({&model, entry, memo});
         }
         // Multiplicity-aware retention: the key's last expected user
         // takes the entry out, so its body dies with that job's Program.
@@ -237,7 +243,52 @@ ProgramCache::get(const sim::AcceleratorModel &model,
             promise.set_exception(std::current_exception());
         }
     }
-    return entry.get();
+    return {entry.get(), std::move(memo)};
+}
+
+sim::RunResult
+ProgramCache::run(const sim::AcceleratorModel &model, const Slot &slot,
+                  const sim::RunOptions &opts)
+{
+    // A timeline is filled by the run itself, so only a real run can
+    // serve it.
+    if (opts.timeline != nullptr)
+        return model.execute(*slot.program, opts);
+
+    const RunKey key{sim::resolvedPrefetchWindow(opts), opts.maxCycles,
+                     opts.verbosity};
+    RunMemo &memo = *slot.memo;
+    {
+        std::lock_guard<std::mutex> lock(memo.mu);
+        for (const auto &[k, stored] : memo.runs) {
+            if (k == key) {
+                runHits_.fetch_add(1, std::memory_order_relaxed);
+                if (metrics::enabled())
+                    runMemoMetrics().hits.inc();
+                sim::RunResult r = stored;
+                r.label = opts.label;
+                return r;
+            }
+        }
+    }
+    runMisses_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics::enabled())
+        runMemoMetrics().misses.inc();
+
+    // Executed outside the lock; a throw propagates before the store,
+    // so a failing run re-derives its error on every repeat.  Racing
+    // misses compute identical results and the first store wins.
+    sim::RunResult r = model.execute(*slot.program, opts);
+    std::lock_guard<std::mutex> lock(memo.mu);
+    const bool stored = std::any_of(
+        memo.runs.begin(), memo.runs.end(),
+        [&](const auto &held) { return held.first == key; });
+    if (!stored) {
+        if (memo.runs.size() == kMaxRunsPerProgram)
+            memo.runs.erase(memo.runs.begin());
+        memo.runs.emplace_back(key, r);
+    }
+    return r;
 }
 
 const char *
@@ -387,12 +438,6 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
             sim::RunOptions opts = job.options;
             if (opts.label.empty())
                 opts.label = label;
-            // The batch-shared phase cache applies to bytecode execution
-            // only; the IR interpreter has no segment table.  (A job
-            // deadline still disables it inside the engine.)
-            if (cfg_.phaseCache &&
-                opts.execMode == sim::ExecMode::Bytecode)
-                opts.phaseCache = cfg_.phaseCache;
             if (cfg_.jobTimeoutSeconds > 0.0)
                 opts.hostDeadline =
                     std::chrono::steady_clock::now() +
@@ -415,16 +460,22 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                 // Bad options fail before paying for a compile, as in
                 // the run() shim; execute() re-validates.
                 sim::validateRunOptions(opts);
-                std::shared_ptr<const compiler::Program> program;
+                ProgramCache::Slot slot;
                 if (cache) {
                     // Lower-once path: sibling jobs share the Program
                     // (same model) or its body (equal lowering key).
-                    program = key ? cache->get(*job.model, *tr, *key)
-                                  : cache->get(*job.model, *tr);
+                    slot = cache->slot(
+                        *job.model, *tr,
+                        key ? *key
+                            : ProgramCache::Key{
+                                  job.model->loweringKey(*tr),
+                                  trace::contentHash(*tr)});
                 } else {
-                    program = std::make_shared<const compiler::Program>(
-                        job.model->compile(*tr));
+                    slot.program =
+                        std::make_shared<const compiler::Program>(
+                            job.model->compile(*tr));
                 }
+                const compiler::Program *program = slot.program.get();
                 if (job.options.dataflowLint) {
                     // Program-level rules on the cached bytecode (the
                     // trace-level dataflow passes already ran in the
@@ -444,7 +495,8 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                 analysis::CostBounds bounds;
                 if (job.options.boundsCheck)
                     bounds = analysis::analyzeCostBounds(*program);
-                result = job.model->execute(*program, opts);
+                result = cache ? cache->run(*job.model, slot, opts)
+                               : job.model->execute(*program, opts);
                 if (job.options.boundsCheck) {
                     outcome.boundsChecked = true;
                     outcome.cyclesLower = bounds.cyclesLower;
@@ -552,12 +604,14 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
     std::atomic<std::size_t> jobsDone{0};
     // Batch-scoped: the jobs' shared_ptrs keep every model alive for at
     // least as long as the cache (see ProgramCache lifetime contract).
-    ProgramCache cache(cfg_.programCacheMaxEntries);
+    ProgramCache cache;
     // Register the cache series even when no job ends up sharing a
     // program (a scrape should see the counters at zero, not miss the
     // series entirely).
-    if (metrics::enabled())
+    if (metrics::enabled()) {
         (void)programCacheMetrics();
+        (void)runMemoMetrics();
+    }
 
     // Key every bytecode job with an eager trace up front, hashing each
     // trace object once; the key feeds the cache lookup, the use count
@@ -644,11 +698,11 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
             if (oc.ok()) {
                 std::fprintf(stderr,
                              "[%zu/%zu] %s status=%s machine=%s "
-                             "workload=%s wall_ms=%.1f cache=%s\n",
+                             "workload=%s wall_ms=%.1f\n",
                              done, jobs.size(), r.label.c_str(),
                              jobStatusName(oc.status),
                              r.machine.c_str(), r.workload.c_str(),
-                             wallMs, cacheFlag(cfg_, r));
+                             wallMs);
             } else {
                 std::fprintf(stderr,
                              "[%zu/%zu] %s status=%s attempts=%d "

@@ -53,6 +53,15 @@ namespace runner {
  * So a DSE sweep lowers each trace once per distinct lowering key and
  * pays only a per-shape re-cost for every further machine point.
  *
+ * Run memo: each (model, Program) pair also keeps the results of its
+ * finished runs (run()).  The simulator is deterministic, so a result
+ * depends only on the Program, the model and the run options that can
+ * change a result byte (RunKey); a repeat returns a copy re-stamped
+ * with the caller's label.  Timeline runs bypass the memo and a run
+ * that throws is never stored, so errors re-derive on every repeat.
+ * The memo lives and dies with its entry: the entry bound and the
+ * batch runner's use limits bound it too.
+ *
  * Concurrency: the first requester of a (key, model) pair installs a
  * shared future and compiles or re-costs outside the map lock; later
  * requesters block on that future.  A compile error is cached too and
@@ -92,6 +101,38 @@ class ProgramCache
         }
     };
 
+    /** The run options that can change a result byte. */
+    struct RunKey
+    {
+        int prefetchWindow = 0; ///< sim::resolvedPrefetchWindow()
+        u64 maxCycles = 0;
+        sim::StatsVerbosity verbosity = sim::StatsVerbosity::Full;
+
+        bool
+        operator==(const RunKey &o) const
+        {
+            return prefetchWindow == o.prefetchWindow &&
+                   maxCycles == o.maxCycles && verbosity == o.verbosity;
+        }
+    };
+
+    /** Finished runs of one (model, Program) pair, oldest first. */
+    struct RunMemo
+    {
+        std::mutex mu;
+        std::vector<std::pair<RunKey, sim::RunResult>> runs;
+    };
+
+    /** A model's Program for a trace, and the memo of its runs. */
+    struct Slot
+    {
+        std::shared_ptr<const compiler::Program> program;
+        std::shared_ptr<RunMemo> memo;
+    };
+
+    /** Results kept per (model, Program) pair; the oldest goes first. */
+    static constexpr std::size_t kMaxRunsPerProgram = 8;
+
     /** `maxEntries` bounds the cache (0 = unbounded, the default).
      *  When an insert exceeds the bound the oldest entry is evicted
      *  (FIFO by insertion) — safe even while the evicted compile is
@@ -107,13 +148,18 @@ class ProgramCache
     get(const sim::AcceleratorModel &model, const trace::Trace &tr);
 
     /** get() with the key already computed (`key` must equal
-     *  {model.loweringKey(tr), trace::contentHash(tr)}): the batch
-     *  runner hashes each trace once. */
-    std::shared_ptr<const compiler::Program>
-    get(const sim::AcceleratorModel &model, const trace::Trace &tr,
-        const Key &key);
+     *  {model.loweringKey(tr), trace::contentHash(tr)}) and the pair's
+     *  run memo alongside: the batch runner hashes each trace once. */
+    Slot slot(const sim::AcceleratorModel &model, const trace::Trace &tr,
+              const Key &key);
 
-    /** Drop `key`'s entry after `uses` more get() calls for it, so its
+    /** `model.execute(*slot.program, opts)`, or a copy of the memoized
+     *  result of an identical earlier run with `opts.label` stamped on
+     *  it.  Thread-safe; throws whatever execute() threw. */
+    sim::RunResult run(const sim::AcceleratorModel &model,
+                       const Slot &slot, const sim::RunOptions &opts);
+
+    /** Drop `key`'s entry after `uses` more get()/slot() calls, so its
      *  body lives only as long as the Programs its last user holds.
      *  Keys without a limit stay until evicted. */
     void limitUses(const Key &key, u64 uses);
@@ -139,18 +185,33 @@ class ProgramCache
     {
         return evictions_.load(std::memory_order_relaxed);
     }
+    /** run() calls answered from the memo. */
+    u64 runHits() const { return runHits_.load(std::memory_order_relaxed); }
+    /** run() calls that executed (timeline runs not counted). */
+    u64
+    runMisses() const
+    {
+        return runMisses_.load(std::memory_order_relaxed);
+    }
 
   private:
     using Future =
         std::shared_future<std::shared_ptr<const compiler::Program>>;
+
+    /// One requesting model's Program and run memo.
+    struct Served
+    {
+        const sim::AcceleratorModel *model = nullptr;
+        Future program;
+        std::shared_ptr<RunMemo> memo;
+    };
 
     struct Entry
     {
         /// The Program compiled for the key: the recost() source.
         Future lowered;
         /// One Program per requesting model, `lowered`'s model first.
-        std::vector<std::pair<const sim::AcceleratorModel *, Future>>
-            programs;
+        std::vector<Served> programs;
         u64 usesLeft = 0; ///< 0 = no limit (see limitUses)
     };
 
@@ -164,6 +225,8 @@ class ProgramCache
     std::atomic<u64> compiles_{0};
     std::atomic<u64> recosts_{0};
     std::atomic<u64> evictions_{0};
+    std::atomic<u64> runHits_{0};
+    std::atomic<u64> runMisses_{0};
 };
 
 /**
@@ -227,18 +290,6 @@ struct RunnerConfig
     /// top of every job attempt; an injected fault follows the normal
     /// failure/retry path.  Not owned.
     const FaultInjector *faults = nullptr;
-    /// Optional caller-owned phase-result cache (sim/phase_cache.h)
-    /// shared by every bytecode job in the batch — content-identical
-    /// phases entered in the same engine state replay instead of
-    /// re-simulating, bit-identically.  The caller reads hit/miss
-    /// counters off the cache after the batch.  IR-mode jobs ignore it.
-    sim::PhaseCache *phaseCache = nullptr;
-    /// Bound on the batch-scoped ProgramCache (0 = unbounded).  Bounded
-    /// caches evict FIFO; an evicted key re-compiles on its next use.
-    /// Results are identical either way — compilation is deterministic
-    /// — only host time and peak memory change.  Within the bound, each
-    /// key is dropped after the last job in the batch that uses it.
-    std::size_t programCacheMaxEntries = 0;
 };
 
 /** Terminal state of one job within a batch. */

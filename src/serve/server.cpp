@@ -846,10 +846,16 @@ Server::handleHealth()
                                        programCache_.compiles())));
     caches.set("program_evictions", JsonValue::makeInt(static_cast<i64>(
                                         programCache_.evictions())));
-    caches.set("phase_hits", JsonValue::makeInt(static_cast<i64>(
-                                 phaseCache_.hits())));
-    caches.set("phase_misses", JsonValue::makeInt(static_cast<i64>(
-                                   phaseCache_.misses())));
+    caches.set("result_hits", JsonValue::makeInt(static_cast<i64>(
+                                  programCache_.runHits())));
+    caches.set("result_misses", JsonValue::makeInt(static_cast<i64>(
+                                    programCache_.runMisses())));
+    std::size_t traces = 0;
+    {
+        std::lock_guard<std::mutex> lk(traceMu_);
+        traces = traceCache_.size();
+    }
+    caches.set("traces", JsonValue::makeInt(static_cast<i64>(traces)));
     resp.set("caches", std::move(caches));
     return resp;
 }
@@ -970,9 +976,20 @@ Server::executeJob(const std::shared_ptr<JobRecord> &rec)
                         makeWorkloadTrace(rec->workload, rec->scale));
                     std::lock_guard<std::mutex> lk(traceMu_);
                     // First inserter wins; a racing generation built the
-                    // identical trace anyway.
+                    // identical trace anyway.  Any client may name any
+                    // scale, so the oldest traces go first past the
+                    // bound (a job holds its own reference).
                     auto ins = traceCache_.emplace(key, tr);
                     job.trace = ins.first->second;
+                    if (ins.second) {
+                        traceOrder_.push_back(key);
+                        const std::size_t bound =
+                            cfg_.programCacheMaxEntries;
+                        while (bound > 0 && traceOrder_.size() > bound) {
+                            traceCache_.erase(traceOrder_.front());
+                            traceOrder_.pop_front();
+                        }
+                    }
                 }
             } else if (!rec->traceFile.empty()) {
                 // Loaded inside the job's isolation: a corrupt file
@@ -992,7 +1009,6 @@ Server::executeJob(const std::shared_ptr<JobRecord> &rec)
             runner::RunnerConfig rc;
             rc.maxRetries = rec->retries;
             rc.retryBackoff = cfg_.retryBackoff;
-            rc.phaseCache = cfg_.usePhaseCache ? &phaseCache_ : nullptr;
             const runner::ExperimentRunner jobRunner(rc);
             jobRunner.runJob(job, static_cast<std::size_t>(rec->seq),
                              result, outcome, &programCache_);

@@ -7,7 +7,7 @@
  * local AF_UNIX socket (length-prefixed JSON frames, serve/protocol.h),
  * executes them through the runner's per-job isolation machinery
  * (ExperimentRunner::runJob) on a fixed set of worker threads, and
- * keeps the compile/phase/twiddle caches warm across requests — the
+ * keeps the trace/compile/result/twiddle caches warm across requests — the
  * paper's 130-job sweep becomes steady-state traffic instead of a
  * cold-start CLI invocation per batch.
  *
@@ -68,7 +68,6 @@
 #include "runner/runner.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
-#include "sim/phase_cache.h"
 
 namespace ufc {
 namespace serve {
@@ -103,9 +102,8 @@ struct ServeConfig
     double shedCompileAt = 0.75;
     /// Run the lint pre-flight on admitted jobs below tier 1.
     bool lintPreflight = false;
-    /// Share a phase-result cache across requests.
-    bool usePhaseCache = true;
-    /// Bound on the persistent ProgramCache (0 = unbounded).
+    /// Bound on the persistent ProgramCache and on the generated-trace
+    /// cache, in entries each (0 = unbounded); both evict FIFO.
     std::size_t programCacheMaxEntries = 256;
     /// Terminal job records retained for `result` queries and the final
     /// report; older ones are expired FIFO so a week of traffic cannot
@@ -209,13 +207,15 @@ class Server
                        std::shared_ptr<const sim::AcceleratorModel>>
         models_;
 
-    // Warm caches shared across requests.
+    // Warm caches shared across requests.  Generated traces are keyed
+    // "w:<workload>:<scale>"; traceOrder_ holds those keys in insertion
+    // order for the FIFO bound.
     runner::ProgramCache programCache_;
-    sim::PhaseCache phaseCache_;
     std::mutex traceMu_;
     std::unordered_map<std::string,
                        std::shared_ptr<const trace::Trace>>
         traceCache_;
+    std::deque<std::string> traceOrder_;
 
     // Admission + lifecycle state, guarded by mu_.
     mutable std::mutex mu_;

@@ -34,12 +34,7 @@ lowerAndRun(const trace::Trace &tr, const compiler::LoweringOptions &opts,
             const MachinePerf &perf, const RunOptions &runOpts)
 {
     validateRunOptions(runOpts);
-    // -1 is the "model default" sentinel; 0 is an explicit request for a
-    // no-lookahead memory engine.
-    const int window = runOpts.prefetchWindow >= 0
-                           ? runOpts.prefetchWindow
-                           : CycleEngine::kDefaultPrefetchWindow;
-    CycleEngine engine(&perf, window);
+    CycleEngine engine(&perf, resolvedPrefetchWindow(runOpts));
     engine.setMaxCycles(runOpts.maxCycles);
     engine.setHostDeadline(runOpts.hostDeadline);
     if (runOpts.timeline) {
@@ -58,18 +53,9 @@ lowerAndRun(const trace::Trace &tr, const compiler::LoweringOptions &opts,
  * value behaves identically on either path (including the TimeoutError
  * diagnostics, which both engines emit through sim::detail helpers).
  */
-/// Host-side phase-cache lookup outcomes of one executeProgram() call;
-/// surfaced on RunResult (never serialized — see stats.h).
-struct ExecCacheCounts
-{
-    u64 hits = 0;
-    u64 misses = 0;
-};
-
 RunStats
 executeProgram(const compiler::Program &program, const std::string &machine,
-               const MachinePerf &perf, const RunOptions &runOpts,
-               ExecCacheCounts *cacheCounts = nullptr)
+               const MachinePerf &perf, const RunOptions &runOpts)
 {
     validateRunOptions(runOpts);
     UFC_EXPECT(!program.composed(), ConfigError,
@@ -88,23 +74,14 @@ executeProgram(const compiler::Program &program, const std::string &machine,
                    << std::hex << program.machineDigest << ", model "
                    << perf.digest() << std::dec
                    << "); recost it for this model");
-    const int window = runOpts.prefetchWindow >= 0
-                           ? runOpts.prefetchWindow
-                           : CycleEngine::kDefaultPrefetchWindow;
-    BytecodeEngine engine(&program, window);
+    BytecodeEngine engine(&program, resolvedPrefetchWindow(runOpts));
     engine.setMaxCycles(runOpts.maxCycles);
     engine.setHostDeadline(runOpts.hostDeadline);
-    engine.setPhaseCache(runOpts.phaseCache);
     if (runOpts.timeline) {
         runOpts.timeline->clear();
         engine.setTimeline(runOpts.timeline);
     }
-    RunStats stats = engine.run();
-    if (cacheCounts) {
-        cacheCounts->hits = engine.runCacheHits();
-        cacheCounts->misses = engine.runCacheMisses();
-    }
-    return stats;
+    return engine.run();
 }
 
 /** Fill the non-stats fields common to every model's result. */
@@ -278,13 +255,8 @@ RunResult
 UfcModel::execute(const compiler::Program &program,
                   const RunOptions &opts) const
 {
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), UfcPerf(cfg_), opts,
-                                        &cc),
-                         opts, program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
+    return attach(executeProgram(program, name(), UfcPerf(cfg_), opts),
+                  opts, program.workload);
 }
 
 RunResult
@@ -381,13 +353,9 @@ RunResult
 SharpModel::execute(const compiler::Program &program,
                     const RunOptions &opts) const
 {
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), baselines::SharpPerf(cfg_), opts,
-                                        &cc),
-                         opts, program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
+    return attach(executeProgram(program, name(),
+                                 baselines::SharpPerf(cfg_), opts),
+                  opts, program.workload);
 }
 
 RunResult
@@ -483,13 +451,9 @@ RunResult
 StrixModel::execute(const compiler::Program &program,
                     const RunOptions &opts) const
 {
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), baselines::StrixPerf(cfg_), opts,
-                                        &cc),
-                         opts, program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
+    return attach(executeProgram(program, name(),
+                                 baselines::StrixPerf(cfg_), opts),
+                  opts, program.workload);
 }
 
 RunResult
@@ -581,10 +545,6 @@ ComposedModel::combine(const RunResult &sharpRes,
     r.energyHbmJ = sharpRes.energyHbmJ + strixRes.energyHbmJ + pcieEnergyJ;
     r.areaMm2 = areaMm2();
     r.powerW = r.seconds > 0 ? r.energyJ / r.seconds : 0.0;
-    // Host-side observability carry-through (not a simulated observable).
-    r.phaseCacheHits = sharpRes.phaseCacheHits + strixRes.phaseCacheHits;
-    r.phaseCacheMisses =
-        sharpRes.phaseCacheMisses + strixRes.phaseCacheMisses;
     return r;
 }
 

@@ -11,56 +11,13 @@
 #include "sim/bc_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "common/error.h"
 #include "sim/timeline.h"
-#include "trace/trace.h"
 
 namespace ufc {
 namespace sim {
-
-namespace {
-
-inline u64
-bitsOf(double v)
-{
-    return std::bit_cast<u64>(v);
-}
-
-/// Hash every field of the accumulated statistics, bit-wise for the
-/// doubles: a phase segment's execution observes instCount (deadline
-/// poll cadence) and appends to every other field, so all of them are
-/// entry state for bit-exact replay.
-void
-mixStats(u64 &h, const RunStats &s)
-{
-    using trace::detail::mix64;
-    mix64(h, bitsOf(s.totalCycles));
-    for (double d : s.busyCycles)
-        mix64(h, bitsOf(d));
-    mix64(h, bitsOf(s.hbmBytes));
-    mix64(h, bitsOf(s.hbmBusyCycles));
-    mix64(h, bitsOf(s.spadHitBytes));
-    mix64(h, s.instCount);
-    for (const OpStats &op : s.opStats) {
-        mix64(h, op.count);
-        mix64(h, bitsOf(op.cycles));
-        mix64(h, bitsOf(op.computeCycles));
-        mix64(h, bitsOf(op.stallCycles));
-        mix64(h, bitsOf(op.fillCycles));
-        mix64(h, bitsOf(op.hbmBytes));
-    }
-    mix64(h, bitsOf(s.stalls.hbmBound));
-    mix64(h, bitsOf(s.stalls.dependency));
-    mix64(h, bitsOf(s.stalls.pipelineFill));
-    mix64(h, bitsOf(s.stalls.spadSpillCycles));
-    mix64(h, bitsOf(s.stalls.spadWritebackBytes));
-    mix64(h, s.stalls.spadEvictions);
-}
-
-} // namespace
 
 BytecodeEngine::BytecodeEngine(const compiler::Program *program,
                                int prefetchWindow)
@@ -272,111 +229,6 @@ BytecodeEngine::applyPhaseEvent(const compiler::PhaseEvent &ev)
                          computeClock_);
 }
 
-u64
-BytecodeEngine::entryKey(u64 segContentHash) const
-{
-    using trace::detail::mix64;
-    // The base binds what the segment *is* (content digest) and the two
-    // execution knobs that change its arithmetic (prefetch window) or
-    // its error behaviour (watchdog budget).
-    u64 h = compiler::phaseCacheKeyBase(segContentHash, window_,
-                                        maxCycles_);
-
-    // From here down: what the engine *is* when the segment starts.
-    mix64(h, bitsOf(computeClock_));
-    mix64(h, bitsOf(memClock_));
-
-    // Ring in logical order.  Only the last `window_` completion times
-    // and the count are ever read, but hashing the whole logical
-    // content keeps the key aligned with what restoreState() installs.
-    mix64(h, static_cast<u64>(ringSize_));
-    for (size_t k = 0; k < ringSize_; ++k) {
-        size_t idx = ringStart_ + k;
-        if (idx >= ring_.size())
-            idx -= ring_.size();
-        mix64(h, bitsOf(ring_[idx]));
-    }
-
-    // Resident scratchpad slots in LRU order (head = most recent).
-    // Non-resident slots are excluded on purpose: spadAccess()
-    // overwrites their bytes/dirty before reading them, so they carry
-    // no observable state.
-    u64 resident = 0;
-    for (u32 s = lruHead_; s != kNil; s = slots_[s].next) {
-        const Slot &e = slots_[s];
-        mix64(h, static_cast<u64>(s));
-        mix64(h, bitsOf(e.bytes));
-        mix64(h, static_cast<u64>(e.dirty ? 1 : 0));
-        ++resident;
-    }
-    mix64(h, resident);
-    mix64(h, bitsOf(spadUsed_));
-    mix64(h, spadEvictions_);
-
-    mixStats(h, stats_);
-    return h;
-}
-
-std::shared_ptr<const PhaseExitState>
-BytecodeEngine::snapshotState() const
-{
-    auto st = std::make_shared<PhaseExitState>();
-    st->computeClock = computeClock_;
-    st->memClock = memClock_;
-    st->ring.reserve(ringSize_);
-    for (size_t k = 0; k < ringSize_; ++k) {
-        size_t idx = ringStart_ + k;
-        if (idx >= ring_.size())
-            idx -= ring_.size();
-        st->ring.push_back(ring_[idx]);
-    }
-    for (u32 s = lruHead_; s != kNil; s = slots_[s].next)
-        st->lru.push_back({s, slots_[s].bytes, slots_[s].dirty});
-    st->spadUsed = spadUsed_;
-    st->spadEvictions = spadEvictions_;
-    st->stats = stats_;
-    return st;
-}
-
-void
-BytecodeEngine::restoreState(const PhaseExitState &s)
-{
-    // Keys include the prefetch window, so a hit's ring always fits;
-    // anything else would be an FNV collision feeding us a snapshot
-    // from an incompatible engine geometry.
-    UFC_EXPECT(s.ring.size() <= ring_.size() ||
-                   (ring_.empty() && s.ring.empty()),
-               ConfigError,
-               "phase-cache snapshot incompatible with engine geometry ("
-                   << s.ring.size() << " ring entries, capacity "
-                   << ring_.size() << ")");
-    computeClock_ = s.computeClock;
-    memClock_ = s.memClock;
-    ringStart_ = 0;
-    ringSize_ = s.ring.size();
-    std::copy(s.ring.begin(), s.ring.end(), ring_.begin());
-
-    // Reset every currently resident slot, then install the stored LRU
-    // chain head -> tail by manual linking.
-    for (u32 cur = lruHead_; cur != kNil;) {
-        const u32 next = slots_[cur].next;
-        slots_[cur] = Slot{};
-        cur = next;
-    }
-    lruHead_ = kNil;
-    lruTail_ = kNil;
-    for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-        Slot &e = slots_[it->slot];
-        e.bytes = it->bytes;
-        e.dirty = it->dirty;
-        e.resident = true;
-        lruPushFront(it->slot);
-    }
-    spadUsed_ = s.spadUsed;
-    spadEvictions_ = s.spadEvictions;
-    stats_ = s.stats;
-}
-
 template <bool WithTimeline>
 void
 BytecodeEngine::exec()
@@ -388,22 +240,11 @@ BytecodeEngine::exec()
     const auto code = view(program_->code);
     const auto events = view(program_->phaseEvents);
     const auto loops = view(program_->loops);
-    const auto segs = view(program_->segments);
     const size_t n = code.size();
     size_t ev = 0;
     size_t i = 0;
     size_t li = 0;
     u64 tripsDone = 0;
-    // Phase-cache cursors.  `si` is the next segment whose begin we have
-    // not passed; `pendingSeg` is a segment we entered on a miss and
-    // will snapshot when i reaches its end.  Timeline runs never cache
-    // (cacheActive_ is false then, but the compile-time guard lets the
-    // optimizer drop the whole block from exec<true>).
-    const bool useCache = !WithTimeline && cacheActive_;
-    constexpr size_t kNoPending = static_cast<size_t>(-1);
-    size_t si = 0;
-    size_t pendingSeg = kNoPending;
-    u64 pendingKey = 0;
     while (true) {
         // Structural loop-back: fires between instructions, before any
         // phase event at this index, so markers recorded after a fold
@@ -420,39 +261,6 @@ BytecodeEngine::exec()
             }
             ++li;
             tripsDone = 0;
-        }
-        if (useCache) {
-            // Close an open miss first: at a shared boundary (previous
-            // segment's end == next segment's begin) the snapshot must
-            // be taken before the next lookup keys off this state.
-            if (pendingSeg != kNoPending &&
-                i == static_cast<size_t>(segs[pendingSeg].end)) {
-                cache_->insert(pendingKey, snapshotState());
-                pendingSeg = kNoPending;
-            }
-            // Consume consecutive hits; on the first miss, record it as
-            // pending and fall through to execute the segment normally.
-            // tripsDone is always 0 here: folded loops never straddle a
-            // phase marker (bc-loop-invariant), so a segment boundary
-            // is never inside a partially executed loop.
-            while (si < segs.size() &&
-                   i == static_cast<size_t>(segs[si].begin)) {
-                const u64 key = entryKey(segHashes_[si]);
-                const auto hit = cache_->find(key);
-                if (!hit) {
-                    ++runCacheMisses_;
-                    pendingSeg = si;
-                    pendingKey = key;
-                    ++si;
-                    break;
-                }
-                ++runCacheHits_;
-                restoreState(*hit);
-                i = static_cast<size_t>(segs[si].end);
-                while (li < loops.size() && loops[li].end <= i)
-                    ++li;
-                ++si;
-            }
         }
         if (i >= n)
             break;
@@ -513,36 +321,6 @@ BytecodeEngine::run()
                        << lp.bodyLen << " trips=" << lp.trips
                        << "); see lint rule bc-loop-invariant");
         prevEnd = lp.end;
-    }
-    runCacheHits_ = 0;
-    runCacheMisses_ = 0;
-    // Phase-cache gating: a timeline must replay every instruction, and
-    // a wall-clock deadline must keep polling real time inside skipped
-    // segments, so both disable the cache for this run.
-    cacheActive_ =
-        cache_ != nullptr && timeline_ == nullptr &&
-        hostDeadline_ == std::chrono::steady_clock::time_point{} &&
-        !program_->segments.empty();
-    if (cacheActive_) {
-        // Same cheap structural screen as the loop table: exec() trusts
-        // segment bounds for control flow.
-        u64 prevSegEnd = 0;
-        for (const auto &seg : program_->segments) {
-            UFC_EXPECT(seg.begin < seg.end &&
-                           seg.end <= program_->code.size() &&
-                           seg.begin >= prevSegEnd,
-                       ConfigError,
-                       "malformed Program segment [" << seg.begin << ", "
-                           << seg.end << ")");
-            prevSegEnd = seg.end;
-        }
-        // Hash the segment table once, here, so only cache-armed runs
-        // pay for content digests (see PhaseSegment docs).
-        segHashes_.resize(program_->segments.size());
-        for (size_t s = 0; s < program_->segments.size(); ++s)
-            segHashes_[s] = compiler::segmentContentHash(
-                *program_, program_->segments[s].begin,
-                program_->segments[s].end);
     }
     if (timeline_)
         exec<true>();

@@ -24,12 +24,10 @@
 #define UFC_SIM_BC_ENGINE_H
 
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "compiler/bytecode.h"
 #include "sim/engine.h"
-#include "sim/phase_cache.h"
 #include "sim/stats.h"
 
 namespace ufc {
@@ -57,29 +55,10 @@ class BytecodeEngine
         hostDeadline_ = deadline;
     }
 
-    /**
-     * Attach a phase-result cache (caller-owned, may be shared across
-     * engines/threads; see sim/phase_cache.h).  The cache only
-     * activates for runs without a timeline and without a host
-     * deadline: a timeline needs every per-instruction slice replayed,
-     * and a wall-clock deadline must keep observing real time inside
-     * skipped segments.  Cached and uncached runs are bit-identical on
-     * every observable (stats, thrown errors); segments that throw are
-     * never cached, so errors re-derive deterministically.
-     */
-    void setPhaseCache(PhaseCache *cache) { cache_ = cache; }
-
     /** Execute the whole Program and return the finished statistics
      *  (totalCycles defined as the per-opcode sum, exactly as
      *  CycleEngine::finish()). */
     RunStats run();
-
-    /** Phase-cache lookups resolved by the last run(): hits and misses
-     *  (both 0 when the cache was inactive).  Host-side observability
-     *  only — the outcome depends on what concurrent runs populated, so
-     *  these never feed a simulated observable. */
-    u64 runCacheHits() const { return runCacheHits_; }
-    u64 runCacheMisses() const { return runCacheMisses_; }
 
   private:
     /// Dense-slot scratchpad entry; prev/next form an intrusive LRU
@@ -104,16 +83,6 @@ class BytecodeEngine
     void lruUnlink(u32 slot);
     void lruPushFront(u32 slot);
 
-    // Phase-cache plumbing (sim/phase_cache.h): the key binds the
-    // segment's content digest to every piece of engine state the
-    // segment's execution can observe; snapshot/restore move exactly
-    // that state.  The digest comes from segHashes_ (hashed once per
-    // run(), and only when the cache is armed, so uncached runs never
-    // pay for hashing).
-    u64 entryKey(u64 segContentHash) const;
-    std::shared_ptr<const PhaseExitState> snapshotState() const;
-    void restoreState(const PhaseExitState &s);
-
     const compiler::Program *program_;
     // The Program's cost table, read once per step.
     const compiler::CostRow *costs_;
@@ -122,11 +91,6 @@ class BytecodeEngine
     Timeline *timeline_ = nullptr;
     u64 maxCycles_ = 0;
     std::chrono::steady_clock::time_point hostDeadline_{};
-    PhaseCache *cache_ = nullptr;
-    bool cacheActive_ = false; // derived per run() from the gates above
-    // Per-run content digests, segHashes_[s] for program_->segments[s];
-    // filled by run() iff cacheActive_ (lazy: see PhaseSegment docs).
-    std::vector<u64> segHashes_;
 
     double computeClock_ = 0.0;
     double memClock_ = 0.0;
@@ -145,10 +109,6 @@ class BytecodeEngine
     u32 lruTail_ = kNil;
     double spadUsed_ = 0.0;
     u64 spadEvictions_ = 0;
-
-    // Last-run phase-cache lookup outcomes (see runCacheHits()).
-    u64 runCacheHits_ = 0;
-    u64 runCacheMisses_ = 0;
 
     RunStats stats_;
 };

@@ -14,6 +14,7 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "sim/engine.h"
 
 namespace ufc {
 namespace sim {
@@ -32,6 +33,15 @@ validateRunOptions(const RunOptions &opts)
                ConfigError,
                "RunOptions.boundsCheck needs a compiled Program to "
                "bound; it is incompatible with ExecMode::TraceIr");
+}
+
+int
+resolvedPrefetchWindow(const RunOptions &opts)
+{
+    // -1 is the "model default" sentinel; 0 is an explicit request for a
+    // no-lookahead memory engine.
+    return opts.prefetchWindow >= 0 ? opts.prefetchWindow
+                                    : CycleEngine::kDefaultPrefetchWindow;
 }
 
 namespace {

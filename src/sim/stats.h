@@ -52,8 +52,7 @@
 namespace ufc {
 namespace sim {
 
-class Timeline;   // sim/timeline.h — optional structured event stream
-class PhaseCache; // sim/phase_cache.h — shared phase-result memoization
+class Timeline; // sim/timeline.h — optional structured event stream
 
 /** Schema identifier embedded in every exported RunResult. */
 inline constexpr const char *kRunResultSchema = "ufc.runresult/v2";
@@ -142,12 +141,6 @@ struct RunOptions
     /// rejects TraceIr: there is no Program to bound).  The check is
     /// host-side; results of passing runs are bit-identical.
     bool boundsCheck = false;
-    /// Optional caller-owned phase-result cache (sim/phase_cache.h),
-    /// honoured by the bytecode engine only.  Thread-safe: one cache may
-    /// be shared across concurrent runs.  Results are bit-identical with
-    /// or without it; timeline or host-deadline runs bypass it (see
-    /// BytecodeEngine::setPhaseCache).
-    PhaseCache *phaseCache = nullptr;
 };
 
 /**
@@ -158,6 +151,10 @@ struct RunOptions
  * rather than undefined engine behavior.
  */
 void validateRunOptions(const RunOptions &opts);
+
+/** The prefetch window a run of `opts` executes with: the -1 sentinel
+ *  resolved to CycleEngine::kDefaultPrefetchWindow. */
+int resolvedPrefetchWindow(const RunOptions &opts);
 
 /** Per-opcode attribution row (one per isa::HwOp). */
 struct OpStats
@@ -295,13 +292,6 @@ struct RunResult
     /// experiment runner, never by the models (it is the one field that
     /// is not deterministic run-to-run).
     double hostSeconds = 0.0;
-    /// Phase-cache lookups this run resolved as hits/misses (both 0 when
-    /// no cache was attached).  Host-side observability only: the split
-    /// depends on which concurrent run populated an entry first, so —
-    /// like hostSeconds — these are never serialized by toJson() or
-    /// toCsvRow() and never feed a simulated observable.
-    u64 phaseCacheHits = 0;
-    u64 phaseCacheMisses = 0;
     /// Captured from RunOptions at run time; governs export detail.
     StatsVerbosity verbosity = StatsVerbosity::Full;
 

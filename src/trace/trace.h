@@ -158,8 +158,8 @@ std::vector<PhaseRegion> phaseRegions(const Trace &tr);
 
 namespace detail {
 
-/// FNV-1a constants shared by the trace content hash, the compiler's
-/// phase-segment hash and the simulator's phase-cache entry key.
+/// FNV-1a constants shared by the trace content hash and the compiler's
+/// and cost models' digests.
 inline constexpr u64 kFnvOffset = 14695981039346656037ULL;
 inline constexpr u64 kFnvPrime = 1099511628211ULL;
 
@@ -186,12 +186,11 @@ fnvMix(u64 &h, const std::string &s)
 }
 
 /**
- * Word-at-a-time mixer (splitmix64 finalizer) for the hot hashing
- * paths — the compiler's per-instruction segment digest and the
- * engine's phase-cache entry key.  ~8x cheaper than byte-wise FNV on
- * u64 payloads with comparable avalanche; these digests live only in
- * memory (cache keys, disassembly), so they need no cross-version
- * stability.
+ * Word-at-a-time mixer (splitmix64 finalizer) for the hashing paths
+ * that digest many words — cost shapes and machine constants.  ~8x
+ * cheaper than byte-wise FNV on u64 payloads with comparable
+ * avalanche; these digests live only in memory (cache keys), so they
+ * need no cross-version stability.
  */
 inline void
 mix64(u64 &h, u64 v)

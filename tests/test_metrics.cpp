@@ -589,6 +589,11 @@ TEST_F(MetricsTest, BatchReportEmbedsMetricsBlockOnlyWhenOn)
               std::string::npos) << on.str();
     EXPECT_NE(on.str().find("\"ufc_program_cache_hits_total\":1"),
               std::string::npos) << on.str();
+    // The pair's two identical runs went through the run memo.
+    EXPECT_NE(on.str().find("\"ufc_run_memo_misses_total\":"),
+              std::string::npos) << on.str();
+    EXPECT_NE(on.str().find("\"ufc_run_memo_hits_total\":"),
+              std::string::npos) << on.str();
 
     // Metrics off: byte-stable v2 envelope with no metrics block.
     metrics::setEnabled(false);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Coverage for the batch ProgramCache gaps called out after PR 6:
- * single-use (model, trace) pairs must release their compiled Program
- * at job end instead of retaining it for the whole batch (asserted via
- * the live-Program instance counter), a concurrent shared_future get()
- * of one pair must compile exactly once, and BcLoop repeat folding at
- * trip-count edge values must execute identically to the unrolled
- * stream.
+ * Coverage for the ProgramCache: single-use (model, trace) pairs must
+ * release their compiled Program at job end instead of retaining it for
+ * the whole batch (asserted via the live-Program instance counter), a
+ * concurrent shared_future get() of one pair must compile exactly once,
+ * the run memo must answer exact repeats bit-identically and nothing
+ * else, and BcLoop repeat folding at trip-count edge values must execute
+ * identically to the unrolled stream.
  */
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "compiler/bytecode.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
+#include "sim/timeline.h"
 #include "sim/ufc_perf.h"
 #include "workloads/workloads.h"
 
@@ -147,11 +149,226 @@ TEST(ProgramCacheGaps, SharedPairsRetainUntilBatchEnd)
 }
 
 // ---------------------------------------------------------------------
+// The run memo: a repeat of a (model, trace, run options) triple returns
+// the first run's result; anything that could change a byte misses.
+
+/** A result's JSON with its label blanked, for label-aside equality. */
+std::string
+unlabelled(sim::RunResult r)
+{
+    r.label.clear();
+    return r.toJson();
+}
+
+/** The cached bootstrapping Program and a model to run it on. */
+struct MemoFixture
+{
+    UfcModel model;
+    trace::Trace tr =
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2);
+    ProgramCache cache;
+    ProgramCache::Slot slot = cache.slot(
+        model, tr, {model.loweringKey(tr), trace::contentHash(tr)});
+};
+
+TEST(ProgramCacheGaps, RepeatRunIsAMemoHit)
+{
+    MemoFixture f;
+    sim::RunOptions opts;
+    opts.label = "first";
+    const sim::RunResult first = f.cache.run(f.model, f.slot, opts);
+    opts.label = "second";
+    const sim::RunResult second = f.cache.run(f.model, f.slot, opts);
+    EXPECT_EQ(f.cache.runMisses(), 1u);
+    EXPECT_EQ(f.cache.runHits(), 1u);
+    EXPECT_EQ(second.label, "second");
+    EXPECT_EQ(unlabelled(second), unlabelled(first));
+    // The memoized bytes are what execution produces.
+    EXPECT_EQ(unlabelled(f.model.execute(*f.slot.program)),
+              unlabelled(first));
+
+    // Through the runner: the repeat job is a hit, with its own label
+    // and host time.
+    Job job;
+    job.label = "runner/repeat";
+    job.model = std::make_shared<UfcModel>();
+    job.trace = std::make_shared<trace::Trace>(f.tr);
+    ProgramCache cache;
+    const ExperimentRunner runner;
+    sim::RunResult a, b;
+    runner::JobOutcome oa, ob;
+    runner.runJob(job, 0, a, oa, &cache);
+    runner.runJob(job, 1, b, ob, &cache);
+    ASSERT_TRUE(oa.ok() && ob.ok());
+    EXPECT_EQ(cache.runHits(), 1u);
+    EXPECT_EQ(b.label, "runner/repeat");
+    EXPECT_GT(b.hostSeconds, 0.0);
+    a.hostSeconds = b.hostSeconds = 0.0;
+    EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+TEST(ProgramCacheGaps, RunMemoCountsHitsAndMisses)
+{
+    // Each Program keeps its own memo: in one cache, two distinct traces
+    // miss once each and then hit once each, and the counters start at
+    // zero.
+    MemoFixture f;
+    EXPECT_EQ(f.cache.runHits(), 0u);
+    EXPECT_EQ(f.cache.runMisses(), 0u);
+
+    const trace::Trace other =
+        workloads::pbsThroughput(tfhe::TfheParams::t4(), 16);
+    const ProgramCache::Slot otherSlot = f.cache.slot(
+        f.model, other,
+        {f.model.loweringKey(other), trace::contentHash(other)});
+    EXPECT_EQ(f.cache.compiles(), 2u);
+
+    const std::string boot = f.cache.run(f.model, f.slot, {}).toJson();
+    EXPECT_EQ(f.cache.runMisses(), 1u);
+    const std::string pbs = f.cache.run(f.model, otherSlot, {}).toJson();
+    EXPECT_EQ(f.cache.runMisses(), 2u);
+    EXPECT_EQ(f.cache.runHits(), 0u);
+    EXPECT_NE(boot, pbs);
+
+    EXPECT_EQ(f.cache.run(f.model, otherSlot, {}).toJson(), pbs);
+    EXPECT_EQ(f.cache.run(f.model, f.slot, {}).toJson(), boot);
+    EXPECT_EQ(f.cache.runHits(), 2u);
+    EXPECT_EQ(f.cache.runMisses(), 2u);
+}
+
+TEST(ProgramCacheGaps, RunMemoKeysOnResultChangingOptions)
+{
+    MemoFixture f;
+    const sim::RunResult base = f.cache.run(f.model, f.slot, {});
+
+    // The -1 sentinel and the default window it resolves to are one key.
+    sim::RunOptions explicitWindow;
+    explicitWindow.prefetchWindow = sim::CycleEngine::kDefaultPrefetchWindow;
+    EXPECT_EQ(f.cache.run(f.model, f.slot, explicitWindow).toJson(),
+              base.toJson());
+    EXPECT_EQ(f.cache.runHits(), 1u);
+
+    // A different window, watchdog budget or verbosity misses; each
+    // result matches a direct execution under the same options.
+    sim::RunOptions window0;
+    window0.prefetchWindow = 0;
+    sim::RunOptions budget;
+    budget.maxCycles = u64(1) << 60; // never trips: same numbers
+    sim::RunOptions compact;
+    compact.verbosity = sim::StatsVerbosity::Compact;
+    u64 misses = f.cache.runMisses();
+    for (const sim::RunOptions &opts : {window0, budget, compact}) {
+        const sim::RunResult r = f.cache.run(f.model, f.slot, opts);
+        EXPECT_EQ(f.cache.runMisses(), ++misses);
+        EXPECT_EQ(r.toJson(), f.model.execute(*f.slot.program, opts).toJson());
+    }
+    EXPECT_NE(f.cache.run(f.model, f.slot, window0).toJson(),
+              base.toJson());
+    EXPECT_EQ(f.cache.runHits(), 2u);
+
+    // A client may vary maxCycles without end: past kMaxRunsPerProgram
+    // keys the oldest (the default run) is dropped and runs again.
+    sim::RunOptions more;
+    for (std::size_t k = 4; k <= ProgramCache::kMaxRunsPerProgram; ++k) {
+        more.maxCycles = (u64(1) << 60) + k;
+        (void)f.cache.run(f.model, f.slot, more);
+    }
+    misses = f.cache.runMisses();
+    EXPECT_EQ(f.cache.run(f.model, f.slot, {}).toJson(), base.toJson());
+    EXPECT_EQ(f.cache.runMisses(), misses + 1);
+}
+
+TEST(ProgramCacheGaps, WatchdogTripsAreNeverMemoized)
+{
+    // A tripping run throws the same bytes on every repeat: it re-runs
+    // each time instead of being stored, and the memoized result of the
+    // same Program without a watchdog does not answer it.
+    MemoFixture f;
+    (void)f.cache.run(f.model, f.slot, {});
+    sim::RunOptions opts;
+    opts.maxCycles = 500000;
+    std::string first;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        try {
+            (void)f.cache.run(f.model, f.slot, opts);
+            FAIL() << "watchdog did not trip (attempt " << attempt << ")";
+        } catch (const TimeoutError &e) {
+            if (attempt == 0)
+                first = e.what();
+            EXPECT_EQ(std::string(e.what()), first) << attempt;
+        }
+    }
+    EXPECT_EQ(f.cache.runMisses(), 4u);
+    EXPECT_EQ(f.cache.runHits(), 0u);
+}
+
+TEST(ProgramCacheGaps, TimelineRunsBypassTheMemo)
+{
+    MemoFixture f;
+    (void)f.cache.run(f.model, f.slot, {}); // memoize the plain run
+
+    sim::Timeline direct;
+    sim::RunOptions directOpts;
+    directOpts.timeline = &direct;
+    (void)f.model.execute(*f.slot.program, directOpts);
+
+    sim::Timeline viaCache;
+    sim::RunOptions opts;
+    opts.timeline = &viaCache;
+    (void)f.cache.run(f.model, f.slot, opts);
+    EXPECT_EQ(f.cache.runHits(), 0u);
+    EXPECT_EQ(f.cache.runMisses(), 1u);
+
+    ASSERT_FALSE(viaCache.slices().empty());
+    ASSERT_EQ(viaCache.slices().size(), direct.slices().size());
+    for (std::size_t i = 0; i < direct.slices().size(); ++i) {
+        const auto &a = direct.slices()[i];
+        const auto &b = viaCache.slices()[i];
+        EXPECT_TRUE(a.track == b.track && a.depth == b.depth &&
+                    a.name == b.name && a.beginCycle == b.beginCycle &&
+                    a.endCycle == b.endCycle && a.bytes == b.bytes)
+            << i;
+    }
+}
+
+TEST(ProgramCacheGaps, ConcurrentRunsOfOnePairAgree)
+{
+    // Eight threads race slot() and run() on one key: one compile, every
+    // result identical (racing misses both execute; the first store
+    // wins).  Part of the sim_runner_reentrancy TSan slice.
+    const UfcModel model;
+    const trace::Trace tr =
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2);
+    const ProgramCache::Key key{model.loweringKey(tr),
+                                trace::contentHash(tr)};
+    constexpr int kThreads = 8;
+    ProgramCache cache;
+    std::vector<std::string> got(kThreads);
+    {
+        std::vector<std::thread> pool;
+        pool.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t)
+            pool.emplace_back([&, t] {
+                got[t] = cache.run(model, cache.slot(model, tr, key), {})
+                             .toJson();
+            });
+        for (auto &th : pool)
+            th.join();
+    }
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(got[t], got[0]) << t;
+    EXPECT_EQ(cache.compiles(), 1u);
+    EXPECT_EQ(cache.runHits() + cache.runMisses(),
+              static_cast<u64>(kThreads));
+    EXPECT_GE(cache.runMisses(), 1u);
+}
+
+// ---------------------------------------------------------------------
 // BcLoop repeat folding at trip-count edge values.
 
 /** Expand every folded loop of `p` back into a flat stream, shifting
- *  the downstream events/segments like the builder would have emitted
- *  them unrolled. */
+ *  the downstream events like the builder would have emitted them
+ *  unrolled. */
 compiler::Program
 unrolled(const compiler::Program &p)
 {
@@ -159,7 +376,6 @@ unrolled(const compiler::Program &p)
     out.code = {};
     out.loops = {};
     out.phaseEvents = {};
-    out.segments = {}; // regions shift; recompute is not needed here
     auto &code = out.code.edit();
     auto &events = out.phaseEvents.edit();
 

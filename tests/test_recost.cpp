@@ -101,11 +101,6 @@ expectSameProgram(const Program &a, const Program &b,
     ASSERT_EQ(a.phaseNames.size(), b.phaseNames.size());
     for (std::size_t i = 0; i < a.phaseNames.size(); ++i)
         ASSERT_EQ(a.phaseNames[i], b.phaseNames[i]);
-    ASSERT_EQ(a.segments.size(), b.segments.size());
-    for (std::size_t i = 0; i < a.segments.size(); ++i)
-        ASSERT_TRUE(a.segments[i].begin == b.segments[i].begin &&
-                    a.segments[i].end == b.segments[i].end &&
-                    a.segments[i].name == b.segments[i].name);
 }
 
 TEST(BytecodeRecost, RecostEqualsCompileAcrossPaperSweeps)

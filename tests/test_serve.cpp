@@ -10,9 +10,11 @@
  *                       never start()ed just accumulates queued records,
  *                       which makes occupancy deterministic)
  *   ServeLifecycle    — a real daemon on an AF_UNIX socket: the soak
- *                       bit-identity to a serial runner, backpressure
- *                       tiers with warm-spec admission, queue-covering
- *                       deadlines, drain under load, stop-cancels-queued
+ *                       bit-identity to a serial runner, run-memo hits
+ *                       on repeat submits, the trace-cache bound,
+ *                       backpressure tiers with warm-spec admission,
+ *                       queue-covering deadlines, drain under load,
+ *                       stop-cancels-queued
  *   ServeInterruption — the runner's cancelFlag path and the
  *                       "interrupted" report marker (what sweep_all's
  *                       SIGINT handler produces)
@@ -551,6 +553,64 @@ TEST(ServeLifecycle, SubmitRunsAndReturnsEmbeddedResult)
     const JsonValue h = client.health();
     EXPECT_EQ("serving", h.getString("status"));
     EXPECT_EQ(1, h.find("stats")->getInt("completed"));
+}
+
+TEST(ServeLifecycle, RepeatSubmitIsARunMemoHit)
+{
+    serve::ServeConfig cfg;
+    cfg.socketPath = uniqueSocketPath();
+    cfg.workers = 1;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    client.connect(cfg.socketPath, 5);
+    const std::string text = smallTraceText(8);
+    std::vector<std::string> served;
+    for (const char *label : {"memo/a", "memo/b"}) {
+        const JsonValue sub = client.submit(traceTextJob(text, label));
+        ASSERT_TRUE(sub.getBool("ok")) << sub.dump();
+        const JsonValue res = client.waitResult(sub.getString("id"));
+        ASSERT_TRUE(res.getBool("ok")) << res.dump();
+        JsonValue result = *res.find("result");
+        EXPECT_EQ(label, result.getString("label"));
+        result.set("label", JsonValue::makeString(""));
+        served.push_back(normalizedDump(result));
+    }
+    EXPECT_EQ(served[0], served[1]);
+
+    const JsonValue h = client.health();
+    EXPECT_EQ(1, h.find("caches")->getInt("result_misses"));
+    EXPECT_EQ(1, h.find("caches")->getInt("result_hits"));
+}
+
+TEST(ServeLifecycle, GeneratedTraceCacheIsBounded)
+{
+    // Any client may name any scale; the generated-trace cache keeps
+    // only the newest programCacheMaxEntries of them.
+    serve::ServeConfig cfg;
+    cfg.socketPath = uniqueSocketPath();
+    cfg.workers = 1;
+    cfg.programCacheMaxEntries = 3;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    client.connect(cfg.socketPath, 5);
+    constexpr int kExtra = 4;
+    for (int scale = 1; scale <= 3 + kExtra; ++scale) {
+        JsonValue job = JsonValue::makeObject();
+        job.set("workload", JsonValue::makeString("pbs"));
+        job.set("scale", JsonValue::makeInt(scale));
+        const JsonValue sub = client.submit(job);
+        ASSERT_TRUE(sub.getBool("ok")) << sub.dump();
+        ASSERT_TRUE(
+            client.waitResult(sub.getString("id")).getBool("ok"))
+            << scale;
+    }
+    const JsonValue h = client.health();
+    EXPECT_EQ(3, h.find("caches")->getInt("traces"));
+    EXPECT_EQ(3 + kExtra, h.find("stats")->getInt("completed"));
 }
 
 TEST(ServeLifecycle, SoakIsBitIdenticalToSerialRunner)

@@ -192,7 +192,7 @@ TEST(TraceStreaming, ModelCompileStreamMatchesCompile)
 {
     // Every model's compileStream must produce the same Program its
     // whole-trace compile() does (disassembly is a full structural
-    // dump, segments and cache keys included).
+    // dump).
     const auto cp = ckks::CkksParams::c1();
     const auto tp = tfhe::TfheParams::t4();
     struct Case
