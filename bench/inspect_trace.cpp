@@ -80,14 +80,8 @@ builtinTrace(const std::string &name)
 std::unique_ptr<sim::AcceleratorModel>
 makeMachine(const std::string &name)
 {
-    if (name == "ufc")
-        return std::make_unique<sim::UfcModel>();
-    if (name == "sharp")
-        return std::make_unique<sim::SharpModel>();
-    if (name == "strix")
-        return std::make_unique<sim::StrixModel>();
-    if (name == "composed")
-        return std::make_unique<sim::ComposedModel>();
+    if (auto model = sim::makeModel(name))
+        return model;
     std::fprintf(stderr, "unknown machine '%s' (ufc|sharp|strix|"
                          "composed)\n", name.c_str());
     std::exit(2);

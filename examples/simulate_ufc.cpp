@@ -56,9 +56,11 @@ main()
     auto add = [&](const char *label,
                    std::shared_ptr<const sim::AcceleratorModel> model,
                    std::shared_ptr<const trace::Trace> tr) {
-        jobs.push_back(runner::Job{.label = label,
-                                   .model = std::move(model),
-                                   .trace = std::move(tr)});
+        runner::Job job;
+        job.label = label;
+        job.model = std::move(model);
+        job.trace = std::move(tr);
+        jobs.push_back(std::move(job));
     };
     add("boot/UFC", ufcm, boot);
     add("boot/SHARP", sharp, boot);

@@ -52,6 +52,8 @@ SharpPerf::computeCycles(const HwInst &inst) const
         // lowering nevertheless asks, the BConv MAC pipeline runs with a
         // single active lane (paper Section III-A).
         return std::max(1.0, static_cast<double>(inst.work));
+      case HwOp::NumHwOps:
+        break;
     }
     return 1.0;
 }

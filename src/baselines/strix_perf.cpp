@@ -53,6 +53,8 @@ StrixPerf::computeCycles(const HwInst &inst) const
       case HwOp::Shuffle:
         return std::max(1.0, static_cast<double>(inst.words) /
                                  cfg_.macWordsPerCycle);
+      case HwOp::NumHwOps:
+        break;
     }
     return 1.0;
 }

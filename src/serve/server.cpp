@@ -237,10 +237,8 @@ Server::Server(const ServeConfig &cfg)
                "ufc_serve needs at least one worker thread");
     UFC_EXPECT(cfg_.queueCapacity >= 1, ConfigError,
                "ufc_serve needs a queue capacity of at least 1");
-    models_["ufc"] = std::make_shared<sim::UfcModel>();
-    models_["sharp"] = std::make_shared<sim::SharpModel>();
-    models_["strix"] = std::make_shared<sim::StrixModel>();
-    models_["composed"] = std::make_shared<sim::ComposedModel>();
+    for (const char *machine : sim::kModelNames)
+        models_[machine] = sim::makeModel(machine);
     startTime_ = Clock::now();
 }
 

@@ -3,21 +3,24 @@
  * Accelerator model implementations.
  *
  * Re-entrancy audit (relied on by src/runner/): every compile()/execute()
- * /run() builds its engine, scratchpad and lowering state on the stack,
+ * /run() builds its engine, scratchpad and lowering state on the stack.
+ * A ChipModel holds its MachinePerf const, built once at construction;
  * the MachinePerf implementations are stateless over const configs, and
  * no function-local statics exist anywhere on this path — so concurrent
  * calls on the same model instance are safe and bit-deterministic.
  *
- * Bit-exactness: the bytecode path (compile + execute) and the legacy IR
- * path (runTraceIr) must produce identical RunResults.  Shared helpers
- * keep them aligned: the cost-model attach functions take a RunStats
- * regardless of which engine produced it, and ComposedModel routes both
- * paths through the same partition() and combine() arithmetic.
+ * Bit-exactness: the bytecode path (compile + execute) and the reference
+ * IR path (runTraceIr) must produce identical RunResults.  Shared helpers
+ * keep them aligned: ChipModel::attach() takes a RunStats regardless of
+ * which engine produced it, admission raises the same error on every
+ * path, and ComposedModel routes both paths through the same
+ * partition() and combine() arithmetic.
  */
 
 #include "sim/accelerator.h"
 
 #include <cstdint>
+#include <utility>
 
 #include "common/error.h"
 #include "sim/bc_engine.h"
@@ -28,60 +31,35 @@ namespace sim {
 
 namespace {
 
-/** Run one trace through a lowering + engine pair (legacy IR path). */
-RunStats
-lowerAndRun(const trace::Trace &tr, const compiler::LoweringOptions &opts,
-            const MachinePerf &perf, const RunOptions &runOpts)
+/**
+ * Apply the engine knobs of RunOptions.  Both engines go through here,
+ * so a given options value behaves identically on either path
+ * (including the TimeoutError diagnostics, which both engines emit
+ * through sim::detail helpers).
+ */
+template <typename Engine>
+void
+arm(Engine &engine, const RunOptions &opts)
 {
-    validateRunOptions(runOpts);
-    CycleEngine engine(&perf, resolvedPrefetchWindow(runOpts));
-    engine.setMaxCycles(runOpts.maxCycles);
-    engine.setHostDeadline(runOpts.hostDeadline);
-    if (runOpts.timeline) {
-        runOpts.timeline->clear();
-        engine.setTimeline(runOpts.timeline);
+    engine.setMaxCycles(opts.maxCycles);
+    engine.setHostDeadline(opts.hostDeadline);
+    if (opts.timeline) {
+        opts.timeline->clear();
+        engine.setTimeline(opts.timeline);
     }
-    compiler::Lowering lowering(&tr, opts, &engine);
-    lowering.run();
-    return engine.finish();
 }
 
-/**
- * Execute a compiled single-chip Program.  Applies RunOptions exactly as
- * lowerAndRun() does — same validation, same window resolution, same
- * watchdog/deadline arming, same timeline clearing — so a given options
- * value behaves identically on either path (including the TimeoutError
- * diagnostics, which both engines emit through sim::detail helpers).
- */
-RunStats
-executeProgram(const compiler::Program &program, const std::string &machine,
-               const MachinePerf &perf, const RunOptions &runOpts)
+/** Options for a composed system's sub-runs: the engine knobs, but not
+ *  the label (the composed result is the one the caller asked for) and
+ *  not the timeline (the two chips run in independent clock domains, so
+ *  interleaving their slices on one time axis would be misleading). */
+RunOptions
+subRunOptions(const RunOptions &opts)
 {
-    validateRunOptions(runOpts);
-    UFC_EXPECT(!program.composed(), ConfigError,
-               "composed Program '" << program.workload
-                   << "' executed on single-chip model '" << machine
-                   << "'");
-    UFC_EXPECT(program.machine == machine, ConfigError,
-               "Program '" << program.workload << "' compiled for '"
-                   << program.machine << "' executed on '" << machine
-                   << "'");
-    // Names do not identify a machine (every UfcConfig is "UFC"), so
-    // the cost terms' provenance is checked by value.
-    UFC_EXPECT(program.machineDigest == perf.digest(), ConfigError,
-               "Program '" << program.workload << "' was costed for other '"
-                   << machine << "' machine constants (digest "
-                   << std::hex << program.machineDigest << ", model "
-                   << perf.digest() << std::dec
-                   << "); recost it for this model");
-    BytecodeEngine engine(&program, resolvedPrefetchWindow(runOpts));
-    engine.setMaxCycles(runOpts.maxCycles);
-    engine.setHostDeadline(runOpts.hostDeadline);
-    if (runOpts.timeline) {
-        runOpts.timeline->clear();
-        engine.setTimeline(runOpts.timeline);
-    }
-    return engine.run();
+    RunOptions sub = opts;
+    sub.label.clear();
+    sub.timeline = nullptr;
+    return sub;
 }
 
 /** Fill the non-stats fields common to every model's result. */
@@ -95,38 +73,49 @@ stamp(RunResult &r, const RunOptions &opts, const std::string &machine,
     r.workload = workload;
 }
 
-/** Cost-model attach shared by the two baseline chips. */
-RunResult
-attachBaseline(const BaselineCost &cost, double areaMm2,
-               const RunStats &stats, const RunOptions &opts,
-               const std::string &machine, const std::string &workload)
-{
-    RunResult r;
-    stamp(r, opts, machine, workload);
-    r.stats = stats;
-    r.seconds = cost.seconds(stats);
-    r.powerW = cost.averagePowerW(stats);
-    r.energyJ = cost.energyJ(stats);
-    r.energyStaticJ = cost.staticEnergyJ(stats);
-    r.energyHbmJ = cost.hbmEnergyJ(stats);
-    r.areaMm2 = areaMm2;
-    return r;
-}
-
-/** Lowering key of a single-chip model: its class (which fixes the
- *  scheme admission and the cost expressions) and the options read. */
-u64
-chipLoweringKey(u64 classTag, const compiler::LoweringOptions &opts,
-                const trace::Trace &tr)
-{
-    u64 h = classTag;
-    trace::detail::mix64(h, compiler::loweringKey(opts, tr));
-    return h;
-}
-
 constexpr u64 kUfcKeyTag = 0x55464300;   // "UFC"
 constexpr u64 kSharpKeyTag = 0x53484150; // "SHAP"
 constexpr u64 kStrixKeyTag = 0x53545258; // "STRX"
+
+compiler::LoweringOptions
+ufcLowering(const UfcConfig &cfg, compiler::Parallelism par)
+{
+    compiler::LoweringOptions opts;
+    opts.wordBits = cfg.wordBits;
+    opts.totalVectorLanes = cfg.totalLanes();
+    opts.autoViaNtt = true;
+    opts.smallPolyPacking = cfg.smallPolyPacking;
+    opts.parallelism = par;
+    opts.onTheFlyKeyGen = cfg.onTheFlyKeyGen;
+    return opts;
+}
+
+compiler::LoweringOptions
+sharpLowering(const baselines::SharpConfig &cfg)
+{
+    compiler::LoweringOptions opts;
+    opts.wordBits = cfg.wordBits;
+    opts.totalVectorLanes = 2048;
+    opts.autoViaNtt = false;       // all-to-all NoC automorphism
+    opts.smallPolyPacking = false;
+    opts.onTheFlyKeyGen = true;    // SHARP also generates keys on die
+    return opts;
+}
+
+compiler::LoweringOptions
+strixLowering(const baselines::StrixConfig &cfg)
+{
+    compiler::LoweringOptions opts;
+    opts.wordBits = cfg.wordBits;
+    opts.totalVectorLanes = static_cast<int>(cfg.macWordsPerCycle);
+    opts.autoViaNtt = false;
+    // Strix batches bootstraps through its streaming pipeline; modeled as
+    // packing over its (narrower) datapath.
+    opts.smallPolyPacking = true;
+    opts.parallelism = compiler::Parallelism::TvLP;
+    opts.onTheFlyKeyGen = false;
+    return opts;
+}
 
 } // namespace
 
@@ -177,299 +166,172 @@ AcceleratorModel::compileStream(std::istream &is,
     return compile(trace::readTrace(is));
 }
 
-UfcModel::UfcModel(const UfcConfig &cfg, compiler::Parallelism par)
-    : cfg_(cfg), parallelism_(par)
+ChipModel::ChipModel(std::string name, u64 keyTag, Admission admission,
+                     std::shared_ptr<const MachinePerf> perf,
+                     const compiler::LoweringOptions &lowering,
+                     CostModel cost, double areaMm2)
+    : name_(std::move(name)), keyTag_(keyTag), admission_(admission),
+      perf_(std::move(perf)), lowering_(lowering), cost_(std::move(cost)),
+      areaMm2_(areaMm2)
 {}
 
-compiler::LoweringOptions
-UfcModel::loweringOptions() const
+void
+ChipModel::admit(const trace::Trace &header, const trace::TraceOp &op) const
 {
-    compiler::LoweringOptions opts;
-    opts.wordBits = cfg_.wordBits;
-    opts.totalVectorLanes = cfg_.totalLanes();
-    opts.autoViaNtt = true;
-    opts.smallPolyPacking = cfg_.smallPolyPacking;
-    opts.parallelism = parallelism_;
-    opts.onTheFlyKeyGen = cfg_.onTheFlyKeyGen;
-    return opts;
+    // Ring-side scheme-switching ops (extract/repack) are CKKS-style
+    // polynomial work; only logic-scheme ops are foreign to a SIMD chip.
+    // A trace/machine mismatch is a job-configuration fault, not an
+    // internal bug — recoverable, so a sweep survives it.
+    const bool tfhe = op.scheme() == trace::Scheme::Tfhe;
+    UFC_EXPECT(admission_ != Admission::NoTfhe || !tfhe, ConfigError,
+               name_ << " only supports SIMD-scheme (CKKS) operations; "
+                        "trace '" << header.name << "' contains TFHE ops");
+    UFC_EXPECT(admission_ != Admission::TfheOnly || tfhe, ConfigError,
+               name_ << " only supports logic-scheme (TFHE) operations; "
+                        "trace '" << header.name << "' contains non-TFHE ops");
 }
 
-double
-UfcModel::areaMm2() const
+void
+ChipModel::admit(const trace::Trace &tr) const
 {
-    return UfcCostModel(cfg_).areaMm2();
+    if (admission_ == Admission::All)
+        return;
+    for (const auto &op : tr.ops)
+        admit(tr, op);
 }
 
 RunResult
-UfcModel::attach(const RunStats &stats, const RunOptions &opts,
-                 const std::string &workload) const
+ChipModel::attach(const RunStats &stats, const RunOptions &opts,
+                  const std::string &workload) const
 {
-    UfcCostModel cost(cfg_);
     RunResult r;
-    stamp(r, opts, name(), workload);
+    stamp(r, opts, name_, workload);
     r.stats = stats;
-    r.seconds = cost.seconds(stats);
-    r.powerW = cost.averagePowerW(stats);
-    r.energyJ = cost.energyJ(stats);
-    r.energyStaticJ = cost.staticEnergyJ(stats);
-    r.energyHbmJ = cost.hbmEnergyJ(stats);
-    r.areaMm2 = cost.areaMm2();
+    std::visit(
+        [&](const auto &cost) {
+            r.seconds = cost.seconds(stats);
+            r.powerW = cost.averagePowerW(stats);
+            r.energyJ = cost.energyJ(stats);
+            r.energyStaticJ = cost.staticEnergyJ(stats);
+            r.energyHbmJ = cost.hbmEnergyJ(stats);
+        },
+        cost_);
+    r.areaMm2 = areaMm2_;
     return r;
 }
 
 compiler::Program
-UfcModel::compile(const trace::Trace &tr) const
+ChipModel::compile(const trace::Trace &tr) const
 {
     return compileWithHash(tr, 0);
 }
 
 compiler::Program
-UfcModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
+ChipModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
 {
-    UfcPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
-                                  nullptr, traceHash);
+    admit(tr);
+    return compiler::compileTrace(tr, lowering_, *perf_, name_, nullptr,
+                                  traceHash);
 }
 
 u64
-UfcModel::loweringKey(const trace::Trace &tr) const
+ChipModel::loweringKey(const trace::Trace &tr) const
 {
-    return chipLoweringKey(kUfcKeyTag, loweringOptions(), tr);
+    // The options do not say which cost expressions re-cost the body
+    // (the tag does) or which traces the chip accepts (the admission
+    // rule does).
+    u64 h = keyTag_;
+    trace::detail::mix64(h, static_cast<u64>(admission_));
+    trace::detail::mix64(h, compiler::loweringKey(lowering_, tr));
+    return h;
 }
 
 compiler::Program
-UfcModel::recost(const compiler::Program &lowered) const
+ChipModel::recost(const compiler::Program &lowered) const
 {
-    return compiler::recost(lowered, UfcPerf(cfg_), name());
+    return compiler::recost(lowered, *perf_, name_);
 }
 
 compiler::Program
-UfcModel::compileStream(std::istream &is, std::size_t chunkBytes) const
+ChipModel::compileStream(std::istream &is, std::size_t chunkBytes) const
 {
-    UfcPerf perf(cfg_);
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, {}, chunkBytes);
-}
-
-RunResult
-UfcModel::execute(const compiler::Program &program,
-                  const RunOptions &opts) const
-{
-    return attach(executeProgram(program, name(), UfcPerf(cfg_), opts),
-                  opts, program.workload);
-}
-
-RunResult
-UfcModel::runTraceIr(const trace::Trace &tr, const RunOptions &opts) const
-{
-    UfcPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
-}
-
-SharpModel::SharpModel(const baselines::SharpConfig &cfg) : cfg_(cfg) {}
-
-void
-SharpModel::rejectUnsupported(const trace::Trace &tr) const
-{
-    for (const auto &op : tr.ops) {
-        // Ring-side scheme-switching ops (extract/repack) are CKKS-style
-        // polynomial work; only logic-scheme ops are unsupported.  A
-        // trace/machine mismatch is a job-configuration fault, not an
-        // internal bug — recoverable, so a sweep survives it.
-        UFC_EXPECT(op.scheme() != trace::Scheme::Tfhe, ConfigError,
-                   "SHARP only supports SIMD-scheme (CKKS) operations; "
-                   "trace '" << tr.name << "' contains TFHE ops");
-    }
-}
-
-compiler::LoweringOptions
-SharpModel::loweringOptions() const
-{
-    compiler::LoweringOptions lopts;
-    lopts.wordBits = cfg_.wordBits;
-    lopts.totalVectorLanes = 2048;
-    lopts.autoViaNtt = false;       // all-to-all NoC automorphism
-    lopts.smallPolyPacking = false;
-    lopts.onTheFlyKeyGen = true;    // SHARP also generates keys on die
-    return lopts;
-}
-
-RunResult
-SharpModel::attach(const RunStats &stats, const RunOptions &opts,
-                   const std::string &workload) const
-{
-    const BaselineCost cost{cfg_.areaMm2, cfg_.staticW,
-                            cfg_.peakDynamicW, 30.0, cfg_.freqGHz};
-    return attachBaseline(cost, cfg_.areaMm2, stats, opts, name(),
-                          workload);
-}
-
-compiler::Program
-SharpModel::compile(const trace::Trace &tr) const
-{
-    return compileWithHash(tr, 0);
-}
-
-compiler::Program
-SharpModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
-{
-    rejectUnsupported(tr);
-    baselines::SharpPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
-                                  nullptr, traceHash);
-}
-
-u64
-SharpModel::loweringKey(const trace::Trace &tr) const
-{
-    return chipLoweringKey(kSharpKeyTag, loweringOptions(), tr);
-}
-
-compiler::Program
-SharpModel::recost(const compiler::Program &lowered) const
-{
-    return compiler::recost(lowered, baselines::SharpPerf(cfg_), name());
-}
-
-compiler::Program
-SharpModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    baselines::SharpPerf perf(cfg_);
-    // Per-op admission check in place of rejectUnsupported(): same typed
+    // Per-op admission in place of the whole-trace check: same typed
     // error and message, raised as soon as the foreign op streams in.
-    const compiler::StreamOpCheck check = [](const trace::Trace &header,
-                                             const trace::TraceOp &op) {
-        UFC_EXPECT(op.scheme() != trace::Scheme::Tfhe, ConfigError,
-                   "SHARP only supports SIMD-scheme (CKKS) operations; "
-                   "trace '" << header.name << "' contains TFHE ops");
-    };
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, check,
-                                        chunkBytes);
+    compiler::StreamOpCheck check;
+    if (admission_ != Admission::All)
+        check = [this](const trace::Trace &header,
+                       const trace::TraceOp &op) { admit(header, op); };
+    return compiler::compileTraceStream(is, lowering_, *perf_, name_,
+                                        nullptr, check, chunkBytes);
 }
 
 RunResult
-SharpModel::execute(const compiler::Program &program,
-                    const RunOptions &opts) const
+ChipModel::execute(const compiler::Program &program,
+                   const RunOptions &opts) const
 {
-    return attach(executeProgram(program, name(),
-                                 baselines::SharpPerf(cfg_), opts),
-                  opts, program.workload);
+    validateRunOptions(opts);
+    UFC_EXPECT(!program.composed(), ConfigError,
+               "composed Program '" << program.workload
+                   << "' executed on single-chip model '" << name_
+                   << "'");
+    UFC_EXPECT(program.machine == name_, ConfigError,
+               "Program '" << program.workload << "' compiled for '"
+                   << program.machine << "' executed on '" << name_
+                   << "'");
+    // Names do not identify a machine (every UfcConfig is "UFC"), so
+    // the cost terms' provenance is checked by value.
+    UFC_EXPECT(program.machineDigest == perf_->digest(), ConfigError,
+               "Program '" << program.workload << "' was costed for other '"
+                   << name_ << "' machine constants (digest "
+                   << std::hex << program.machineDigest << ", model "
+                   << perf_->digest() << std::dec
+                   << "); recost it for this model");
+    BytecodeEngine engine(&program, resolvedPrefetchWindow(opts));
+    arm(engine, opts);
+    return attach(engine.run(), opts, program.workload);
 }
 
 RunResult
-SharpModel::runTraceIr(const trace::Trace &tr,
-                       const RunOptions &opts) const
+ChipModel::runTraceIr(const trace::Trace &tr, const RunOptions &opts) const
 {
-    rejectUnsupported(tr);
-    baselines::SharpPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
+    admit(tr);
+    validateRunOptions(opts);
+    CycleEngine engine(perf_.get(), resolvedPrefetchWindow(opts));
+    arm(engine, opts);
+    compiler::Lowering lowering(&tr, lowering_, &engine);
+    lowering.run();
+    return attach(engine.finish(), opts, tr.name);
 }
 
-StrixModel::StrixModel(const baselines::StrixConfig &cfg) : cfg_(cfg) {}
+UfcModel::UfcModel(const UfcConfig &cfg, compiler::Parallelism par)
+    : ChipModel(cfg.name, kUfcKeyTag, Admission::All,
+                std::make_shared<const UfcPerf>(cfg), ufcLowering(cfg, par),
+                UfcCostModel(cfg), UfcCostModel(cfg).areaMm2())
+{}
 
-void
-StrixModel::rejectUnsupported(const trace::Trace &tr) const
-{
-    for (const auto &op : tr.ops) {
-        UFC_EXPECT(op.scheme() == trace::Scheme::Tfhe, ConfigError,
-                   "Strix only supports logic-scheme (TFHE) operations; "
-                   "trace '" << tr.name << "' contains non-TFHE ops");
-    }
-}
+SharpModel::SharpModel(const baselines::SharpConfig &cfg)
+    : ChipModel("SHARP", kSharpKeyTag, Admission::NoTfhe,
+                std::make_shared<const baselines::SharpPerf>(cfg),
+                sharpLowering(cfg),
+                BaselineCost{cfg.areaMm2, cfg.staticW, cfg.peakDynamicW,
+                             30.0, cfg.freqGHz},
+                cfg.areaMm2)
+{}
 
-compiler::LoweringOptions
-StrixModel::loweringOptions() const
-{
-    compiler::LoweringOptions lopts;
-    lopts.wordBits = cfg_.wordBits;
-    lopts.totalVectorLanes = static_cast<int>(cfg_.macWordsPerCycle);
-    lopts.autoViaNtt = false;
-    // Strix batches bootstraps through its streaming pipeline; modeled as
-    // packing over its (narrower) datapath.
-    lopts.smallPolyPacking = true;
-    lopts.parallelism = compiler::Parallelism::TvLP;
-    lopts.onTheFlyKeyGen = false;
-    return lopts;
-}
-
-RunResult
-StrixModel::attach(const RunStats &stats, const RunOptions &opts,
-                   const std::string &workload) const
-{
-    const BaselineCost cost{cfg_.areaMm2, cfg_.staticW,
-                            cfg_.peakDynamicW, 30.0, cfg_.freqGHz};
-    return attachBaseline(cost, cfg_.areaMm2, stats, opts, name(),
-                          workload);
-}
-
-compiler::Program
-StrixModel::compile(const trace::Trace &tr) const
-{
-    return compileWithHash(tr, 0);
-}
-
-compiler::Program
-StrixModel::compileWithHash(const trace::Trace &tr, u64 traceHash) const
-{
-    rejectUnsupported(tr);
-    baselines::StrixPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name(),
-                                  nullptr, traceHash);
-}
-
-u64
-StrixModel::loweringKey(const trace::Trace &tr) const
-{
-    return chipLoweringKey(kStrixKeyTag, loweringOptions(), tr);
-}
-
-compiler::Program
-StrixModel::recost(const compiler::Program &lowered) const
-{
-    return compiler::recost(lowered, baselines::StrixPerf(cfg_), name());
-}
-
-compiler::Program
-StrixModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    baselines::StrixPerf perf(cfg_);
-    const compiler::StreamOpCheck check = [](const trace::Trace &header,
-                                             const trace::TraceOp &op) {
-        UFC_EXPECT(op.scheme() == trace::Scheme::Tfhe, ConfigError,
-                   "Strix only supports logic-scheme (TFHE) operations; "
-                   "trace '" << header.name << "' contains non-TFHE ops");
-    };
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, check,
-                                        chunkBytes);
-}
-
-RunResult
-StrixModel::execute(const compiler::Program &program,
-                    const RunOptions &opts) const
-{
-    return attach(executeProgram(program, name(),
-                                 baselines::StrixPerf(cfg_), opts),
-                  opts, program.workload);
-}
-
-RunResult
-StrixModel::runTraceIr(const trace::Trace &tr,
-                       const RunOptions &opts) const
-{
-    rejectUnsupported(tr);
-    baselines::StrixPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
-}
+StrixModel::StrixModel(const baselines::StrixConfig &cfg)
+    : ChipModel("Strix", kStrixKeyTag, Admission::TfheOnly,
+                std::make_shared<const baselines::StrixPerf>(cfg),
+                strixLowering(cfg),
+                BaselineCost{cfg.areaMm2, cfg.staticW, cfg.peakDynamicW,
+                             30.0, cfg.freqGHz},
+                cfg.areaMm2)
+{}
 
 ComposedModel::ComposedModel(const baselines::SharpConfig &sharp,
                              const baselines::StrixConfig &strix,
                              double pcieGBs, double pcieLatencyUs)
-    : sharp_(sharp), strix_(strix), pcieGBs_(pcieGBs),
+    : sharp_(sharp), strix_(strix), sharpStaticW_(sharp.staticW),
+      strixStaticW_(strix.staticW), pcieGBs_(pcieGBs),
       pcieLatencyUs_(pcieLatencyUs)
 {}
 
@@ -536,8 +398,8 @@ ComposedModel::combine(const RunResult &sharpRes,
     const double pcieEnergyJ = pcieBytes * 10.0e-12; // ~10 pJ/byte link
     r.energyJ = sharpRes.energyJ + strixRes.energyJ + pcieEnergyJ;
     // Idle chip burns static power while the other one works.
-    const double idleStaticJ = sharp_.staticW * strixRes.seconds +
-                               strix_.staticW * sharpRes.seconds;
+    const double idleStaticJ = sharpStaticW_ * strixRes.seconds +
+                               strixStaticW_ * sharpRes.seconds;
     r.energyJ += idleStaticJ;
     r.energyStaticJ =
         sharpRes.energyStaticJ + strixRes.energyStaticJ + idleStaticJ;
@@ -563,9 +425,9 @@ ComposedModel::compile(const trace::Trace &tr) const
     // sub-run.
     p.parts.resize(2);
     if (!ckksPart.ops.empty())
-        p.parts[0] = SharpModel(sharp_).compile(ckksPart);
+        p.parts[0] = sharp_.compile(ckksPart);
     if (!tfhePart.ops.empty())
-        p.parts[1] = StrixModel(strix_).compile(tfhePart);
+        p.parts[1] = strix_.compile(tfhePart);
     return p;
 }
 
@@ -580,20 +442,13 @@ ComposedModel::execute(const compiler::Program &program,
                    << program.machine
                    << "' executed on composed model '" << name() << "'");
 
-    // Sub-runs inherit the engine knobs but not the label (the composed
-    // result is the one the caller asked for) and not the timeline (the
-    // two chips run in independent clock domains, so interleaving their
-    // slices on one time axis would be misleading).
-    RunOptions subOpts = opts;
-    subOpts.label.clear();
-    subOpts.timeline = nullptr;
-
+    const RunOptions subOpts = subRunOptions(opts);
     RunResult sharpRes;
     if (!program.parts[0].machine.empty())
-        sharpRes = SharpModel(sharp_).execute(program.parts[0], subOpts);
+        sharpRes = sharp_.execute(program.parts[0], subOpts);
     RunResult strixRes;
     if (!program.parts[1].machine.empty())
-        strixRes = StrixModel(strix_).execute(program.parts[1], subOpts);
+        strixRes = strix_.execute(program.parts[1], subOpts);
 
     return combine(sharpRes, strixRes, program.pcieBytes,
                    program.pcieTransfers, opts, program.workload);
@@ -610,22 +465,33 @@ ComposedModel::runTraceIr(const trace::Trace &tr,
     u64 pcieTransfers = 0;
     partition(tr, ckksPart, tfhePart, pcieBytes, pcieTransfers);
 
-    // See execute() for why sub-runs drop the label and timeline.  The
-    // sub-calls go through run(), which dispatches on opts.execMode —
+    // The sub-calls go through run(), which dispatches on opts.execMode —
     // TraceIr here, since runTraceIr is only reached through it.
-    RunOptions subOpts = opts;
-    subOpts.label.clear();
-    subOpts.timeline = nullptr;
+    const RunOptions subOpts = subRunOptions(opts);
 
     RunResult sharpRes;
     if (!ckksPart.ops.empty())
-        sharpRes = SharpModel(sharp_).run(ckksPart, subOpts);
+        sharpRes = sharp_.run(ckksPart, subOpts);
     RunResult strixRes;
     if (!tfhePart.ops.empty())
-        strixRes = StrixModel(strix_).run(tfhePart, subOpts);
+        strixRes = strix_.run(tfhePart, subOpts);
 
     return combine(sharpRes, strixRes, pcieBytes, pcieTransfers, opts,
                    tr.name);
+}
+
+std::unique_ptr<AcceleratorModel>
+makeModel(const std::string &name)
+{
+    if (name == "ufc")
+        return std::make_unique<UfcModel>();
+    if (name == "sharp")
+        return std::make_unique<SharpModel>();
+    if (name == "strix")
+        return std::make_unique<StrixModel>();
+    if (name == "composed")
+        return std::make_unique<ComposedModel>();
+    return nullptr;
 }
 
 } // namespace sim

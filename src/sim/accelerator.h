@@ -5,6 +5,12 @@
  * it on the cycle engine, and attach physical units (seconds, joules,
  * mm^2).
  *
+ * UFC, SHARP and Strix are one class, ChipModel, fed by data: a
+ * MachinePerf, LoweringOptions, a cost model, an area and the trace
+ * schemes the chip admits.  UfcModel, SharpModel and StrixModel only
+ * build that data from their configuration structs.  ComposedModel
+ * pairs a SharpModel with a StrixModel over a PCIe link.
+ *
  * ## Execution API (compile / execute)
  *
  * The primary entry points are the two-phase pair
@@ -20,19 +26,22 @@
  *     compiler::Program q = other->recost(p);       // no re-lowering
  *
  * gives `other` a Program bit-identical to other->compile(trace) that
- * shares p's body and only carries its own per-shape cost table.  `run(trace, opts)` remains as a convenience shim
- * over compile+execute — kept deprecated-but-tested for the figure
- * benches and external callers; new code should prefer the split API.
+ * shares p's body and only carries its own per-shape cost table.
+ *
+ * `run(trace, opts)` is a convenience shim over compile + execute.
  * With RunOptions::execMode == ExecMode::TraceIr, run() instead takes
- * the legacy IR-interpreter path; both paths produce bit-identical
+ * the reference IR-interpreter path; both paths produce bit-identical
  * results (enforced by the bytecode differential test gate).
  */
 
 #ifndef UFC_SIM_ACCELERATOR_H
 #define UFC_SIM_ACCELERATOR_H
 
+#include <array>
 #include <cstddef>
 #include <memory>
+#include <string>
+#include <variant>
 
 #include "baselines/sharp_perf.h"
 #include "baselines/strix_perf.h"
@@ -81,10 +90,10 @@ class AcceleratorModel
     /**
      * Key of the lowered body compile(tr) produces: models whose keys
      * are equal for `tr` lower it to the same body, so one compile()
-     * serves them all through recost().  Single-chip models digest
-     * their class and the LoweringOptions fields the lowering of `tr`
-     * reads (compiler::loweringKey).  The default is unique per model
-     * instance, so a model that does not override it never shares.
+     * serves them all through recost().  ChipModel digests its key tag,
+     * its admission rule and the LoweringOptions fields the lowering of
+     * `tr` reads (compiler::loweringKey).  The default is unique per
+     * model instance, so a model that does not override it never shares.
      */
     virtual u64 loweringKey(const trace::Trace &tr) const;
 
@@ -128,11 +137,11 @@ class AcceleratorModel
     }
 
     /**
-     * One-shot convenience (deprecated shim): compile(tr) + execute()
-     * under the default ExecMode::Bytecode, or the legacy IR
-     * interpreter when opts.execMode == ExecMode::TraceIr.  Callers
-     * that execute a trace more than once should compile() it
-     * themselves (or go through the runner, which caches Programs).
+     * One-shot convenience: compile(tr) + execute() under the default
+     * ExecMode::Bytecode, or the reference IR interpreter when
+     * opts.execMode == ExecMode::TraceIr.  Callers that execute a trace
+     * more than once should compile() it themselves (or go through the
+     * runner, which caches Programs).
      */
     RunResult run(const trace::Trace &tr, const RunOptions &opts) const;
 
@@ -146,118 +155,103 @@ class AcceleratorModel
     virtual double areaMm2() const = 0;
 
   protected:
-    /** Legacy IR-interpreter path behind run(); bit-identical to the
+    /** Reference IR-interpreter path behind run(); bit-identical to the
      *  bytecode path by construction and by test. */
     virtual RunResult runTraceIr(const trace::Trace &tr,
                                  const RunOptions &opts) const = 0;
 };
 
+/**
+ * One single-chip accelerator.  UFC, SHARP and Strix run the same
+ * compile/execute pipeline and differ only in the data this class holds:
+ * a name, a lowering-key tag, the schemes the chip admits, its
+ * MachinePerf, its LoweringOptions, its cost model and its area.  The
+ * constructor is protected; the named subclasses below are the only
+ * chips, each built from its own configuration struct.
+ */
+class ChipModel : public AcceleratorModel
+{
+  public:
+    /** Trace schemes a chip accepts; any other op is a ConfigError. */
+    enum class Admission
+    {
+        All,      ///< every scheme (UFC)
+        NoTfhe,   ///< no logic-scheme ops (SHARP)
+        TfheOnly, ///< logic-scheme ops only (Strix)
+    };
+
+    compiler::Program compile(const trace::Trace &tr) const override;
+    compiler::Program compileWithHash(const trace::Trace &tr,
+                                      u64 traceHash) const override;
+    compiler::Program compileStream(
+        std::istream &is,
+        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
+    u64 loweringKey(const trace::Trace &tr) const override;
+    compiler::Program
+    recost(const compiler::Program &lowered) const override;
+    using AcceleratorModel::execute;
+    RunResult execute(const compiler::Program &program,
+                      const RunOptions &opts) const override;
+    std::string name() const override { return name_; }
+    double areaMm2() const override { return areaMm2_; }
+
+    const compiler::LoweringOptions &
+    loweringOptions() const
+    {
+        return lowering_;
+    }
+
+  protected:
+    using CostModel = std::variant<UfcCostModel, BaselineCost>;
+
+    ChipModel(std::string name, u64 keyTag, Admission admission,
+              std::shared_ptr<const MachinePerf> perf,
+              const compiler::LoweringOptions &lowering, CostModel cost,
+              double areaMm2);
+
+    RunResult runTraceIr(const trace::Trace &tr,
+                         const RunOptions &opts) const override;
+
+  private:
+    /** Throw ConfigError when `op` of trace `header` is not admitted. */
+    void admit(const trace::Trace &header, const trace::TraceOp &op) const;
+    void admit(const trace::Trace &tr) const;
+    RunResult attach(const RunStats &stats, const RunOptions &opts,
+                     const std::string &workload) const;
+
+    std::string name_;
+    u64 keyTag_;
+    Admission admission_;
+    /** Stateless over a const config, so shared by concurrent runs. */
+    std::shared_ptr<const MachinePerf> perf_;
+    compiler::LoweringOptions lowering_;
+    CostModel cost_;
+    double areaMm2_;
+};
+
 /** The proposed unified accelerator. */
-class UfcModel : public AcceleratorModel
+class UfcModel : public ChipModel
 {
   public:
     explicit UfcModel(const UfcConfig &cfg = UfcConfig::tableII(),
                       compiler::Parallelism par =
                           compiler::Parallelism::TvLP);
-
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileWithHash(const trace::Trace &tr,
-                                      u64 traceHash) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    u64 loweringKey(const trace::Trace &tr) const override;
-    compiler::Program
-    recost(const compiler::Program &lowered) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
-    std::string name() const override { return cfg_.name; }
-    double areaMm2() const override;
-
-    const UfcConfig &config() const { return cfg_; }
-    compiler::LoweringOptions loweringOptions() const;
-
-  protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
-
-  private:
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
-    UfcConfig cfg_;
-    compiler::Parallelism parallelism_;
 };
 
 /** SHARP baseline (CKKS-only). */
-class SharpModel : public AcceleratorModel
+class SharpModel : public ChipModel
 {
   public:
     explicit SharpModel(
         const baselines::SharpConfig &cfg = baselines::SharpConfig{});
-
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileWithHash(const trace::Trace &tr,
-                                      u64 traceHash) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    u64 loweringKey(const trace::Trace &tr) const override;
-    compiler::Program
-    recost(const compiler::Program &lowered) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
-    std::string name() const override { return "SHARP"; }
-    double areaMm2() const override { return cfg_.areaMm2; }
-
-  protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
-
-  private:
-    void rejectUnsupported(const trace::Trace &tr) const;
-    compiler::LoweringOptions loweringOptions() const;
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
-    baselines::SharpConfig cfg_;
 };
 
 /** Strix baseline (TFHE-only). */
-class StrixModel : public AcceleratorModel
+class StrixModel : public ChipModel
 {
   public:
     explicit StrixModel(
         const baselines::StrixConfig &cfg = baselines::StrixConfig{});
-
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileWithHash(const trace::Trace &tr,
-                                      u64 traceHash) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    u64 loweringKey(const trace::Trace &tr) const override;
-    compiler::Program
-    recost(const compiler::Program &lowered) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
-    std::string name() const override { return "Strix"; }
-    double areaMm2() const override { return cfg_.areaMm2; }
-
-  protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
-
-  private:
-    void rejectUnsupported(const trace::Trace &tr) const;
-    compiler::LoweringOptions loweringOptions() const;
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
-    baselines::StrixConfig cfg_;
 };
 
 /**
@@ -285,7 +279,7 @@ class ComposedModel : public AcceleratorModel
     std::string name() const override { return "SHARP+Strix"; }
     double areaMm2() const override
     {
-        return sharp_.areaMm2 + strix_.areaMm2;
+        return sharp_.areaMm2() + strix_.areaMm2();
     }
 
   protected:
@@ -303,11 +297,22 @@ class ComposedModel : public AcceleratorModel
                       u64 pcieTransfers, const RunOptions &opts,
                       const std::string &workload) const;
 
-    baselines::SharpConfig sharp_;
-    baselines::StrixConfig strix_;
+    SharpModel sharp_;
+    StrixModel strix_;
+    /** Static power each chip burns while idle (see combine()). */
+    double sharpStaticW_;
+    double strixStaticW_;
     double pcieGBs_;
     double pcieLatencyUs_;
 };
+
+/** Machine names the CLIs and the serve protocol accept. */
+inline constexpr std::array<const char *, 4> kModelNames = {
+    "ufc", "sharp", "strix", "composed"};
+
+/** Default-configured model for one of kModelNames; nullptr for any
+ *  other name. */
+std::unique_ptr<AcceleratorModel> makeModel(const std::string &name);
 
 } // namespace sim
 } // namespace ufc

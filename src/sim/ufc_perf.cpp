@@ -64,6 +64,8 @@ UfcPerf::computeCycles(const HwInst &inst) const
       case HwOp::Shuffle:
         return std::max(1.0, static_cast<double>(inst.words) /
                                  (cfg_.globalNocWordsPerCycle / 4.0));
+      case HwOp::NumHwOps:
+        break;
     }
     return 1.0;
 }

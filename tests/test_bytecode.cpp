@@ -194,13 +194,58 @@ TEST(BytecodeDifferential, RunOptionsValidationParity)
     EXPECT_THROW(model.execute(model.compile(tr), bad), ConfigError);
 }
 
+/** what() of the ConfigError `fn` throws; "" when it throws none. */
+template <typename Fn>
+std::string
+configErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A chip fed a trace of a scheme it does not admit rejects it with the
+ *  same ConfigError message on every path: bytecode run(), trace-IR
+ *  run(), compile(), compileStream() and a runner batch job. */
+void
+expectRejectedEverywhere(const std::shared_ptr<const AcceleratorModel> &model,
+                         const trace::Trace &tr, const std::string &expected)
+{
+    SCOPED_TRACE(model->name() + " on " + tr.name);
+    EXPECT_EQ(expected, configErrorOf([&] { model->run(tr); }));
+    EXPECT_EQ(expected,
+              configErrorOf([&] { model->run(tr, irOptions()); }));
+    EXPECT_EQ(expected, configErrorOf([&] { model->compile(tr); }));
+    std::stringstream text;
+    trace::writeTrace(tr, text);
+    EXPECT_EQ(expected, configErrorOf([&] { model->compileStream(text); }));
+
+    runner::Job job;
+    job.label = "reject";
+    job.model = model;
+    job.trace = std::make_shared<const trace::Trace>(tr);
+    const auto batch = runner::ExperimentRunner().runAll({job});
+    ASSERT_EQ(1u, batch.outcomes.size());
+    EXPECT_EQ(runner::JobStatus::Failed, batch.outcomes[0].status);
+    EXPECT_EQ("ConfigError", batch.outcomes[0].errorKind);
+    EXPECT_EQ(expected, batch.outcomes[0].message);
+}
+
 TEST(BytecodeDifferential, SchemeRejectionParity)
 {
     const auto tfhe = tfheTraces().front();
-    const SharpModel sharp;
-    EXPECT_THROW(sharp.run(tfhe), ConfigError);
-    EXPECT_THROW(sharp.run(tfhe, irOptions()), ConfigError);
-    EXPECT_THROW(sharp.compile(tfhe), ConfigError);
+    expectRejectedEverywhere(
+        std::make_shared<SharpModel>(), tfhe,
+        "SHARP only supports SIMD-scheme (CKKS) operations; trace '" +
+            tfhe.name + "' contains TFHE ops");
+    const auto ckks = ckksTraces().front();
+    expectRejectedEverywhere(
+        std::make_shared<StrixModel>(), ckks,
+        "Strix only supports logic-scheme (TFHE) operations; trace '" +
+            ckks.name + "' contains non-TFHE ops");
 }
 
 /** Run both modes on a parsed trace; returns true when the outcomes

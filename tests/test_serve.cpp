@@ -833,6 +833,15 @@ TEST(ServeLifecycle, StopCancelsQueuedJobsAndAccountsForThem)
     JsonValue held = traceTextJob(smallTraceText(8), "held");
     held.set("hold_ms", JsonValue::makeInt(400));
     ASSERT_TRUE(client.submit(held).getBool("ok"));
+    // The three jobs below must still be queued at stop(), so wait for
+    // the one worker to take the held job off the queue first.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (client.health().getInt("running") != 1) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "the worker never started the held job";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(
             client.submit(traceTextJob(smallTraceText(8), "queued"))
