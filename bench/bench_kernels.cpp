@@ -7,7 +7,7 @@
  * Unlike the figure benches this does not drive the accelerator
  * simulator; it times the host kernels directly with steady_clock and
  * reports per-op wall time.  Results can be exported in the standard
- * ufc.report/v1 envelope (--json / --csv), with one run entry per
+ * ufc.report/v2 envelope (--json / --csv), with one run entry per
  * kernel variant: `seconds` is the mean per-operation time and
  * `host_seconds` the total measured wall-clock for that variant.
  *
@@ -111,11 +111,11 @@ class Suite
                         what.c_str(), ref / opt, ref, opt);
     }
 
-    std::vector<sim::RunResult>
-    results() const
+    /** One report row per kernel variant; every outcome is ok. */
+    runner::BatchResult
+    batch() const
     {
-        std::vector<sim::RunResult> out;
-        out.reserve(rows_.size());
+        runner::BatchResult out;
         for (const auto &r : rows_) {
             sim::RunResult res;
             res.label = r.label;
@@ -125,8 +125,9 @@ class Suite
             res.hostSeconds = r.timing.totalSeconds;
             res.stats.instCount = static_cast<u64>(r.timing.reps);
             res.verbosity = sim::StatsVerbosity::Compact;
-            out.push_back(std::move(res));
+            out.results.push_back(std::move(res));
         }
+        out.outcomes.resize(out.results.size());
         return out;
     }
 
@@ -274,11 +275,11 @@ main(int argc, char **argv)
         meta.generator = "ufc-bench/bench_kernels";
         meta.threads = kernelThreads();
         meta.wallSeconds = wall;
-        const auto results = suite.results();
+        const runner::BatchResult batch = suite.batch();
         if (!cli.jsonPath.empty())
-            runner::saveJsonReport(results, cli.jsonPath, meta);
+            runner::saveJsonReport(batch, cli.jsonPath, meta);
         if (!cli.csvPath.empty())
-            runner::saveCsvReport(results, cli.csvPath);
+            runner::saveCsvReport(batch, cli.csvPath);
     }
     return 0;
 }

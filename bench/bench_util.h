@@ -84,7 +84,8 @@ parseSweepCli(int argc, char **argv)
 }
 
 /** Run one figure's sweep through the parallel runner, honouring the
- *  common CLI flags, and return the labelled results. */
+ *  common CLI flags, and return the labelled results.  The reports are
+ *  written before the first failure, if any, is thrown. */
 inline runner::ResultSet
 runSweep(const runner::Sweep &sweep, int argc, char **argv)
 {
@@ -93,7 +94,7 @@ runSweep(const runner::Sweep &sweep, int argc, char **argv)
     const int threads = exec.effectiveThreads(sweep.jobs.size());
 
     const auto t0 = std::chrono::steady_clock::now();
-    auto results = exec.run(sweep.jobs);
+    runner::BatchResult batch = exec.runAll(sweep.jobs);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -106,11 +107,12 @@ runSweep(const runner::Sweep &sweep, int argc, char **argv)
         meta.threads = threads;
         meta.wallSeconds = wall;
         if (!cli.jsonPath.empty())
-            runner::saveJsonReport(results, cli.jsonPath, meta);
+            runner::saveJsonReport(batch, cli.jsonPath, meta);
         if (!cli.csvPath.empty())
-            runner::saveCsvReport(results, cli.csvPath);
+            runner::saveCsvReport(batch, cli.csvPath);
     }
-    return runner::ResultSet(std::move(results));
+    batch.throwFirstFailure();
+    return runner::ResultSet(std::move(batch.results));
 }
 
 } // namespace bench

@@ -20,7 +20,6 @@
 #include <bit>
 
 #include "common/check.h"
-#include "common/prof.h"
 #include "math/ntt.h"
 #include "math/ntt_cache.h"
 #include "math/primes.h"
@@ -184,7 +183,6 @@ CgNtt::cyclicInverse(std::vector<u64> &a, u64 w) const
 void
 CgNtt::forward(std::vector<u64> &a) const
 {
-    UFC_PROF_SCOPE("cg_ntt.forward");
     UFC_CHECK(a.size() == n_, "size mismatch");
     for (u64 j = 0; j < n_; ++j)
         a[j] = mod_.mulShoup(a[j], twist_[j], twistShoup_[j]);
@@ -200,7 +198,6 @@ CgNtt::forward(std::vector<u64> &a) const
 void
 CgNtt::inverse(std::vector<u64> &a) const
 {
-    UFC_PROF_SCOPE("cg_ntt.inverse");
     UFC_CHECK(a.size() == n_, "size mismatch");
     for (u64 i = 0; i < n_; ++i) {
         const u64 r = brev_[i];

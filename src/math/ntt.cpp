@@ -10,7 +10,6 @@
 #include <bit>
 
 #include "common/check.h"
-#include "common/prof.h"
 #include "math/primes.h"
 
 namespace ufc {
@@ -91,7 +90,6 @@ NttTable::NttTable(u64 n, u64 q, u64 psi)
 void
 NttTable::forward(u64 *a) const
 {
-    UFC_PROF_SCOPE("ntt.forward");
     if (useIfma_)
         detail::ifmaForward(view_, a, scratchBuf(n_));
     else
@@ -101,7 +99,6 @@ NttTable::forward(u64 *a) const
 void
 NttTable::inverse(u64 *a) const
 {
-    UFC_PROF_SCOPE("ntt.inverse");
     if (useIfma_)
         detail::ifmaInverse(view_, a, scratchBuf(n_));
     else

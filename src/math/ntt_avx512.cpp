@@ -66,11 +66,24 @@ mulShoupLazy52(__m512i y, __m512i w, __m512i wS, __m512i qv, __m512i mask52)
     return _mm512_and_si512(_mm512_sub_epi64(lo, lq), mask52);
 }
 
-/** x - 2q if x >= 2q else x, branchless (underflow makes x - 2q huge). */
+// GCC 12's unmasked _mm512_min_epu64 and _mm512_permutexvar_epi64 pass
+// _mm512_undefined_epi32() (`__m512i __Y = __Y;`) as the pass-through
+// operand, and every inlined call then warns -Wmaybe-uninitialized.
+// The two helpers below use the all-lanes masked forms instead: they take
+// an explicit pass-through and emit the same unmasked instructions.
+
+/** x - c if x >= c else x, branchless (underflow makes x - c huge). */
 inline __m512i
-reduceTwoQ(__m512i x, __m512i twoQ)
+condSub(__m512i x, __m512i c)
 {
-    return _mm512_min_epu64(x, _mm512_sub_epi64(x, twoQ));
+    return _mm512_mask_min_epu64(x, 0xFF, x, _mm512_sub_epi64(x, c));
+}
+
+/** Lane i of the result is v[idx[i]]. */
+inline __m512i
+permuteLanes(__m512i idx, __m512i v)
+{
+    return _mm512_mask_permutexvar_epi64(v, 0xFF, idx, v);
 }
 
 /**
@@ -151,7 +164,7 @@ ifmaForward(const NttKernelView &view, u64 *a, u64 *scratch)
             for (u64 j = 0; j < t; j += 8) {
                 __m512i xv = _mm512_loadu_si512(x + j);
                 const __m512i yv = _mm512_loadu_si512(y + j);
-                xv = reduceTwoQ(xv, twoQ);
+                xv = condSub(xv, twoQ);
                 const __m512i tv = mulShoupLazy52(yv, w, wS, qv, mask52);
                 _mm512_storeu_si512(x + j, _mm512_add_epi64(xv, tv));
                 _mm512_storeu_si512(
@@ -169,23 +182,23 @@ ifmaForward(const NttKernelView &view, u64 *a, u64 *scratch)
         for (u64 g = 0; g < n / 16; ++g) {
             u64 *base = scratch + g * 16;
             const u64 twBase = m + g * perChunk;
-            const __m512i w = _mm512_permutexvar_epi64(
+            const __m512i w = permuteLanes(
                 ix.tw, _mm512_loadu_si512(view.fwdTw + twBase));
-            const __m512i wS = _mm512_permutexvar_epi64(
+            const __m512i wS = permuteLanes(
                 ix.tw, _mm512_loadu_si512(view.fwdTwShoup52 + twBase));
             const __m512i A = _mm512_loadu_si512(base);
             const __m512i B = _mm512_loadu_si512(base + 8);
             __m512i xv = _mm512_permutex2var_epi64(A, ix.u, B);
             const __m512i yv = _mm512_permutex2var_epi64(A, ix.v, B);
-            xv = reduceTwoQ(xv, twoQ);
+            xv = condSub(xv, twoQ);
             const __m512i tv = mulShoupLazy52(yv, w, wS, qv, mask52);
             __m512i xn = _mm512_add_epi64(xv, tv);
             __m512i yn = _mm512_add_epi64(_mm512_sub_epi64(xv, tv), twoQ);
             if (t == 1) {
-                xn = _mm512_min_epu64(xn, _mm512_sub_epi64(xn, twoQ));
-                xn = _mm512_min_epu64(xn, _mm512_sub_epi64(xn, qv));
-                yn = _mm512_min_epu64(yn, _mm512_sub_epi64(yn, twoQ));
-                yn = _mm512_min_epu64(yn, _mm512_sub_epi64(yn, qv));
+                xn = condSub(xn, twoQ);
+                xn = condSub(xn, qv);
+                yn = condSub(yn, twoQ);
+                yn = condSub(yn, qv);
             }
             _mm512_storeu_si512(base,
                                 _mm512_permutex2var_epi64(xn, ix.lo, yn));
@@ -225,15 +238,15 @@ ifmaInverse(const NttKernelView &view, u64 *a, u64 *scratch)
         for (u64 g = 0; g < n / 16; ++g) {
             u64 *base = scratch + g * 16;
             const u64 twBase = h + g * perChunk;
-            const __m512i w = _mm512_permutexvar_epi64(
+            const __m512i w = permuteLanes(
                 ix.tw, _mm512_loadu_si512(view.invTw + twBase));
-            const __m512i wS = _mm512_permutexvar_epi64(
+            const __m512i wS = permuteLanes(
                 ix.tw, _mm512_loadu_si512(view.invTwShoup52 + twBase));
             const __m512i A = _mm512_loadu_si512(base);
             const __m512i B = _mm512_loadu_si512(base + 8);
             const __m512i xv = _mm512_permutex2var_epi64(A, ix.u, B);
             const __m512i yv = _mm512_permutex2var_epi64(A, ix.v, B);
-            const __m512i xn = reduceTwoQ(_mm512_add_epi64(xv, yv), twoQ);
+            const __m512i xn = condSub(_mm512_add_epi64(xv, yv), twoQ);
             const __m512i diff =
                 _mm512_add_epi64(_mm512_sub_epi64(xv, yv), twoQ);
             const __m512i yn = mulShoupLazy52(diff, w, wS, qv, mask52);
@@ -257,7 +270,7 @@ ifmaInverse(const NttKernelView &view, u64 *a, u64 *scratch)
                 const __m512i xv = _mm512_loadu_si512(x + j);
                 const __m512i yv = _mm512_loadu_si512(y + j);
                 const __m512i xn =
-                    reduceTwoQ(_mm512_add_epi64(xv, yv), twoQ);
+                    condSub(_mm512_add_epi64(xv, yv), twoQ);
                 const __m512i diff =
                     _mm512_add_epi64(_mm512_sub_epi64(xv, yv), twoQ);
                 const __m512i yn = mulShoupLazy52(diff, w, wS, qv, mask52);
@@ -275,7 +288,7 @@ ifmaInverse(const NttKernelView &view, u64 *a, u64 *scratch)
     for (u64 i = 0; i < n; i += 8) {
         const __m512i xv = _mm512_loadu_si512(scratch + i);
         __m512i r = mulShoupLazy52(xv, nI, nIS, qv, mask52);
-        r = _mm512_min_epu64(r, _mm512_sub_epi64(r, qv));
+        r = condSub(r, qv);
         _mm512_storeu_si512(a + i, r);
     }
 }

@@ -106,7 +106,7 @@ struct Registry {
 Registry &
 registry()
 {
-    static Registry *r = new Registry(); // never freed, like prof counters
+    static Registry *r = new Registry(); // never freed
     return *r;
 }
 

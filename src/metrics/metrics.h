@@ -3,16 +3,16 @@
  * Process-wide metrics registry: counters, gauges, and log2-bucketed
  * histograms, with Prometheus text and `ufc.metrics/v1` JSON exposition.
  *
- * PR 3's observability made a single *run* explainable (per-opcode
- * attribution, timelines, UFC_PROFILE timers); this registry makes the
- * *system* observable: batch latency percentiles, cache hit rates,
- * thread-pool pressure, watchdog activity — the signals a long-lived
- * simulation service needs for admission control and monitoring.  The
+ * Per-opcode attribution and timelines make a single *run* explainable;
+ * this registry makes the *system* observable: batch latency
+ * percentiles, cache hit rates, thread-pool pressure, watchdog activity
+ * — the signals a long-lived simulation service needs for admission
+ * control and monitoring.  It is the one host-timing registry.  The
  * instrumented layers are the runner job lifecycle, runner::ProgramCache
  * (with its run memo), trace::TraceReader, the shared ThreadPool, and
  * the engine watchdog poll/trip points.
  *
- * ## Contract (same as UFC_PROFILE)
+ * ## Contract
  *
  * The layer is observation-only.  Metrics never influence scheduling,
  * caching decisions or any simulated observable: a run with metrics on is

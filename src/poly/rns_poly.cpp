@@ -15,7 +15,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/prof.h"
 #include "math/ntt_cache.h"
 
 namespace ufc {
@@ -48,14 +47,12 @@ RnsPoly::moduli() const
 void
 RnsPoly::toEval()
 {
-    UFC_PROF_SCOPE("rns.to_eval");
     parallelFor(limbs_.size(), [&](size_t i) { limbs_[i].toEval(); });
 }
 
 void
 RnsPoly::toCoeff()
 {
-    UFC_PROF_SCOPE("rns.to_coeff");
     parallelFor(limbs_.size(), [&](size_t i) { limbs_[i].toCoeff(); });
 }
 
@@ -99,7 +96,6 @@ RnsPoly::scaleInPlace(u64 scalar)
 void
 RnsPoly::mulEvalInPlace(const RnsPoly &other)
 {
-    UFC_PROF_SCOPE("rns.mul_eval");
     UFC_CHECK(limbs_.size() == other.limbs_.size(), "limb count mismatch");
     parallelFor(limbs_.size(), [&](size_t i) {
         limbs_[i].mulEvalInPlace(other.limbs_[i]);
@@ -109,7 +105,6 @@ RnsPoly::mulEvalInPlace(const RnsPoly &other)
 void
 RnsPoly::fmaEval(const RnsPoly &a, const RnsPoly &b)
 {
-    UFC_PROF_SCOPE("rns.fma_eval");
     UFC_CHECK(limbs_.size() == a.limbs_.size() &&
               limbs_.size() == b.limbs_.size(), "limb count mismatch");
     parallelFor(limbs_.size(), [&](size_t i) {
@@ -120,7 +115,6 @@ RnsPoly::fmaEval(const RnsPoly &a, const RnsPoly &b)
 RnsPoly
 RnsPoly::automorphism(u64 k) const
 {
-    UFC_PROF_SCOPE("rns.automorphism");
     RnsPoly out;
     out.ctx_ = ctx_;
     out.limbs_.resize(limbs_.size());
@@ -140,7 +134,6 @@ RnsPoly::dropLastLimb()
 void
 RnsPoly::extendBasis(const std::vector<u64> &newModuli)
 {
-    UFC_PROF_SCOPE("rns.extend_basis");
     UFC_CHECK(form() == PolyForm::Coeff, "extendBasis requires Coeff form");
     const u64 n = degree();
     RnsBasis from(moduli());

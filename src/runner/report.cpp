@@ -11,7 +11,6 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/prof.h"
 #include "metrics/metrics.h"
 
 namespace ufc {
@@ -44,50 +43,30 @@ csvStr(const std::string &s)
     return out;
 }
 
+std::ofstream
+openReport(const std::string &path)
+{
+    std::ofstream os(path);
+    UFC_EXPECT(os.good(), ConfigError,
+               "cannot open " << path << " for writing");
+    return os;
+}
+
+} // namespace
+
 void
-writeEnvelopeHead(std::ostream &os, const char *schema,
-                  const ReportMeta &meta)
+writeJsonReport(const BatchResult &batch, std::ostream &os,
+                const ReportMeta &meta)
 {
     char wall[40];
     std::snprintf(wall, sizeof(wall), "%.6f", meta.wallSeconds);
-    os << "{\"schema\":\"" << schema << "\""
+    os << "{\"schema\":\"" << kBatchReportSchema << "\""
        << ",\"generator\":\"" << meta.generator << "\""
        << ",\"threads\":" << meta.threads
        << ",\"wall_seconds\":" << wall;
     // Only written when set, so pre-existing reports stay byte-stable.
     if (meta.interrupted)
         os << ",\"interrupted\":true";
-}
-
-} // namespace
-
-void
-writeJsonReport(const std::vector<sim::RunResult> &results,
-                std::ostream &os, const ReportMeta &meta)
-{
-    writeEnvelopeHead(os, kReportSchema, meta);
-    os << ",\"run_count\":" << results.size() << ",\"runs\":[";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\n" << results[i].toJson();
-    }
-    os << "\n]}\n";
-}
-
-void
-writeCsvReport(const std::vector<sim::RunResult> &results, std::ostream &os)
-{
-    os << sim::RunResult::csvHeader() << "\n";
-    for (const auto &r : results)
-        os << r.toCsvRow() << "\n";
-}
-
-void
-writeJsonReport(const BatchResult &batch, std::ostream &os,
-                const ReportMeta &meta)
-{
-    writeEnvelopeHead(os, kBatchReportSchema, meta);
     const auto ok = batch.okResults();
     os << ",\"job_count\":" << batch.results.size()
        << ",\"run_count\":" << ok.size()
@@ -125,15 +104,11 @@ writeJsonReport(const BatchResult &batch, std::ostream &os,
             os << ",";
         os << "\n" << ok[i].toJson();
     }
-    // Host-side observability blocks, appended only when the respective
-    // layer is on so metrics-off reports stay byte-stable.
+    // The host-side metrics block, appended only when the registry is
+    // on so metrics-off reports stay byte-stable.
     if (metrics::enabled()) {
         os << "\n],\"metrics\":";
         metrics::writeJson(os);
-        if (prof::enabled() && prof::hasSamples()) {
-            os << ",\"host_profile\":";
-            prof::writeJson(os);
-        }
         os << "}\n";
     } else {
         os << "\n]}\n";
@@ -153,55 +128,19 @@ writeCsvReport(const BatchResult &batch, std::ostream &os)
     }
 }
 
-namespace {
-
-template <typename Payload, typename Writer>
-void
-saveReport(const Payload &payload, const std::string &path,
-           const Writer &writer)
-{
-    std::ofstream os(path);
-    UFC_EXPECT(os.good(), ConfigError,
-               "cannot open " << path << " for writing");
-    writer(payload, os);
-}
-
-} // namespace
-
-void
-saveJsonReport(const std::vector<sim::RunResult> &results,
-               const std::string &path, const ReportMeta &meta)
-{
-    saveReport(results, path,
-               [&](const std::vector<sim::RunResult> &r,
-                   std::ostream &os) { writeJsonReport(r, os, meta); });
-}
-
-void
-saveCsvReport(const std::vector<sim::RunResult> &results,
-              const std::string &path)
-{
-    saveReport(results, path,
-               [](const std::vector<sim::RunResult> &r,
-                  std::ostream &os) { writeCsvReport(r, os); });
-}
-
 void
 saveJsonReport(const BatchResult &batch, const std::string &path,
                const ReportMeta &meta)
 {
-    saveReport(batch, path,
-               [&](const BatchResult &b, std::ostream &os) {
-                   writeJsonReport(b, os, meta);
-               });
+    std::ofstream os = openReport(path);
+    writeJsonReport(batch, os, meta);
 }
 
 void
 saveCsvReport(const BatchResult &batch, const std::string &path)
 {
-    saveReport(batch, path, [](const BatchResult &b, std::ostream &os) {
-        writeCsvReport(b, os);
-    });
+    std::ofstream os = openReport(path);
+    writeCsvReport(batch, os);
 }
 
 } // namespace runner

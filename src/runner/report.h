@@ -1,17 +1,14 @@
 /**
  * @file
- * Structured report emission for batches of runs: a JSON document
- * (metadata + one object per run, built on sim::RunResult::toJson())
- * and a flat CSV (RunResult::csvHeader() + one toCsvRow() per run).
+ * Structured report emission for a runner::BatchResult: a JSON document
+ * and a flat CSV.
  *
- * Two envelopes:
- *   "ufc.report/v1" — plain result vectors (no failure information).
- *   "ufc.report/v2" — BatchResult overloads: v1 plus a top-level
- *       "failures" array ({label, status, error_kind, message,
- *       attempts} per non-ok job), "failure_count", and per-run rows
- *       for successful jobs only.  The CSV variant appends
- *       status/attempts/error_kind/error columns to every row; failed
- *       rows keep their label with the metric columns zeroed.
+ * The JSON envelope, "ufc.report/v2", holds the metadata, a top-level
+ * "failures" array ({label, status, error_kind, message, attempts} per
+ * non-ok job), "failure_count", and one sim::RunResult::toJson() object
+ * per successful job.  The CSV holds RunResult::csvHeader() plus
+ * status/attempts/error_kind/error columns, one row per job; failed
+ * rows keep their label with the metric columns zeroed.
  */
 
 #ifndef UFC_RUNNER_REPORT_H
@@ -19,17 +16,13 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "runner/runner.h"
-#include "sim/stats.h"
 
 namespace ufc {
 namespace runner {
 
-/** Schema identifier of the plain (results-only) report envelope. */
-inline constexpr const char *kReportSchema = "ufc.report/v1";
-/** Schema identifier of the batch (results + failures) envelope. */
+/** Schema identifier of the report envelope. */
 inline constexpr const char *kBatchReportSchema = "ufc.report/v2";
 
 /** Optional report metadata recorded in the JSON envelope. */
@@ -46,27 +39,16 @@ struct ReportMeta
     bool interrupted = false;
 };
 
-/** Write the JSON report document. */
-void writeJsonReport(const std::vector<sim::RunResult> &results,
-                     std::ostream &os, const ReportMeta &meta = {});
-/** Write the CSV report (header + one row per run). */
-void writeCsvReport(const std::vector<sim::RunResult> &results,
-                    std::ostream &os);
-
-/** Batch-aware JSON report: successful runs plus the structured
- *  "failures" block (schema "ufc.report/v2"). */
+/** JSON report: successful runs plus the structured "failures"
+ *  block. */
 void writeJsonReport(const BatchResult &batch, std::ostream &os,
                      const ReportMeta &meta = {});
-/** Batch-aware CSV report: every job gets a row; the appended
+/** CSV report: every job gets a row; the appended
  *  status/attempts/error_kind/error columns carry the outcome. */
 void writeCsvReport(const BatchResult &batch, std::ostream &os);
 
 /** File wrappers; throw ufc::ConfigError when the path cannot be
  *  opened. */
-void saveJsonReport(const std::vector<sim::RunResult> &results,
-                    const std::string &path, const ReportMeta &meta = {});
-void saveCsvReport(const std::vector<sim::RunResult> &results,
-                   const std::string &path);
 void saveJsonReport(const BatchResult &batch, const std::string &path,
                     const ReportMeta &meta = {});
 void saveCsvReport(const BatchResult &batch, const std::string &path);

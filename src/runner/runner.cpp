@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <iostream>
 #include <mutex>
 #include <thread>
 
@@ -32,7 +31,6 @@
 #include "common/error.h"
 #include "compiler/bytecode.h"
 #include "common/parallel.h"
-#include "common/prof.h"
 #include "metrics/flight_recorder.h"
 #include "metrics/metrics.h"
 #include "trace/serialize.h"
@@ -384,14 +382,20 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
         !job.label.empty() ? job.label
                            : "job#" + std::to_string(index);
 
-    if (metrics::enabled())
+    // Every job is counted and timed here, retries included, whether
+    // runAll() or a service worker called in.
+    RunnerMetrics &m = runnerMetrics();
+    const metrics::ScopedDurationUs jobTimer(m.jobUs);
+    if (metrics::enabled()) {
+        m.jobs.inc();
         metrics::flightRecorder().record(metrics::EventKind::JobStart,
                                          label);
+    }
 
     for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
         outcome.attempts = attempt;
         if (attempt > 1 && metrics::enabled()) {
-            runnerMetrics().retries.inc();
+            m.retries.inc();
             metrics::flightRecorder().record(metrics::EventKind::JobRetry,
                                              label,
                                              "attempt=" +
@@ -523,16 +527,14 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
             } else {
                 result = job.model->run(*tr, opts);
             }
-            const auto t1 = std::chrono::steady_clock::now();
-            if (cfg_.measureHostTime)
-                result.hostSeconds =
-                    std::chrono::duration<double>(t1 - t0).count();
+            result.hostSeconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count();
             // On a retry success, keep the previous failure's
             // kind/message as the captured diagnostic.
             outcome.status = attempt == 1 ? JobStatus::Ok
                                           : JobStatus::RetriedOk;
             if (metrics::enabled()) {
-                RunnerMetrics &m = runnerMetrics();
                 (attempt == 1 ? m.jobsOk : m.jobsRetried).inc();
                 metrics::flightRecorder().record(
                     metrics::EventKind::JobOk, label,
@@ -572,7 +574,6 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
     if (job.trace)
         result.workload = job.trace->name;
     if (metrics::enabled()) {
-        RunnerMetrics &m = runnerMetrics();
         const bool timedOut = outcome.status == JobStatus::TimedOut;
         (timedOut ? m.jobsTimeout : m.jobsFailed).inc();
         metrics::flightRecorder().record(
@@ -584,14 +585,6 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
         outcome.recentEvents =
             metrics::flightRecorder().formatTail(kFailureEventTail);
     }
-}
-
-void
-ExperimentRunner::runJob(const Job &job, std::size_t index,
-                         sim::RunResult &result, JobOutcome &outcome,
-                         ProgramCache *cache) const
-{
-    runOne(job, index, result, outcome, cache);
 }
 
 BatchResult
@@ -648,7 +641,6 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
 
     ThreadPool pool(effectiveThreads(jobs.size()));
     pool.parallelFor(jobs.size(), [&](std::size_t i) {
-        UFC_PROF_SCOPE("runner.job");
         // Cooperative cancellation (SIGINT/SIGTERM in sweep_all): jobs
         // not yet started are marked Skipped so the partial report
         // still accounts for every job, and in-flight siblings finish
@@ -668,26 +660,17 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
                           : "job#" + std::to_string(i);
             return;
         }
-        // Per-job wall clock (retries included) for the latency
-        // histogram and the --progress line; skipped entirely when
-        // neither consumer is active.
-        const bool timeJob = cfg_.progress || metrics::enabled();
-        const auto t0 = timeJob ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
+        // Per-job wall clock (retries included) for the --progress
+        // line; read only when progress is on.
+        const auto t0 = cfg_.progress
+                            ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
         runOne(jobs[i], i, batch.results[i], batch.outcomes[i],
                keyed[i] ? &cache : nullptr, keyed[i] ? &keys[i] : nullptr);
-        double wallMs = 0.0;
-        if (timeJob) {
-            wallMs = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-            if (metrics::enabled()) {
-                RunnerMetrics &m = runnerMetrics();
-                m.jobs.inc();
-                m.jobUs.record(static_cast<u64>(wallMs * 1000.0));
-            }
-        }
         if (cfg_.progress) {
+            const double wallMs = std::chrono::duration<double, std::milli>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count();
             const std::size_t done =
                 jobsDone.fetch_add(1, std::memory_order_relaxed) + 1;
             const auto &r = batch.results[i];
@@ -714,8 +697,6 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
             }
         }
     });
-    if (cfg_.progress && prof::enabled() && prof::hasSamples())
-        prof::report(std::cerr);
     return batch;
 }
 

@@ -257,11 +257,8 @@ struct RunnerConfig
 {
     /// Worker threads; <= 0 means std::thread::hardware_concurrency().
     int threads = 0;
-    /// Fill RunResult::hostSeconds with per-job wall-clock.
-    bool measureHostTime = true;
     /// Emit one machine-readable status line to stderr as each job
-    /// finishes ("[jobs_done/jobs_total] <label> status=... ..."), plus
-    /// a host profile report after the batch when UFC_PROFILE is on.
+    /// finishes ("[jobs_done/jobs_total] <label> status=... ...").
     /// Lines are serialized under a mutex so concurrent completions
     /// cannot interleave characters.  Progress output never affects
     /// results (stderr only, completion order).
@@ -397,16 +394,20 @@ class ExperimentRunner
     /**
      * Execute ONE job on the calling thread with the full isolation
      * machinery (typed-error capture, bounded retries with backoff,
-     * deadline mapping, flight-recorder post-mortem on failure).  This
-     * is the unit of work a long-lived service schedules: the ufc_serve
-     * daemon calls it per accepted request from its own worker threads,
-     * passing its persistent ProgramCache so compiled programs stay
-     * warm across requests.  `cache` may be null (no program sharing).
-     * Never throws for job-level failures.
+     * deadline mapping, flight-recorder post-mortem on failure) and
+     * the job metrics (ufc_runner_jobs_*, ufc_runner_job_duration_us).
+     * This is the unit of work runAll() schedules, and the one a
+     * long-lived service schedules: the ufc_serve daemon calls it per
+     * accepted request from its own worker threads, passing its
+     * persistent ProgramCache so compiled programs stay warm across
+     * requests.  `cache` may be null (no program sharing); `key`, when
+     * given, is the job's precomputed ProgramCache key.  Never throws
+     * for job-level failures.
      */
-    void runJob(const Job &job, std::size_t index,
+    void runOne(const Job &job, std::size_t index,
                 sim::RunResult &result, JobOutcome &outcome,
-                ProgramCache *cache) const;
+                ProgramCache *cache,
+                const ProgramCache::Key *key = nullptr) const;
 
     /** Threads the pool would use for a batch of `jobs` jobs. */
     int effectiveThreads(std::size_t jobs) const;
@@ -414,11 +415,6 @@ class ExperimentRunner
     const RunnerConfig &config() const { return cfg_; }
 
   private:
-    void runOne(const Job &job, std::size_t index,
-                sim::RunResult &result, JobOutcome &outcome,
-                ProgramCache *cache,
-                const ProgramCache::Key *key = nullptr) const;
-
     RunnerConfig cfg_;
 };
 

@@ -1008,10 +1008,10 @@ Server::executeJob(const std::shared_ptr<JobRecord> &rec)
             rc.maxRetries = rec->retries;
             rc.retryBackoff = cfg_.retryBackoff;
             const runner::ExperimentRunner jobRunner(rc);
-            jobRunner.runJob(job, static_cast<std::size_t>(rec->seq),
+            jobRunner.runOne(job, static_cast<std::size_t>(rec->seq),
                              result, outcome, &programCache_);
         } catch (const Error &e) {
-            // Trace generation / parse faults outside runJob's isolation.
+            // Trace generation / parse faults outside runOne's isolation.
             outcome.status = runner::JobStatus::Failed;
             outcome.attempts = 1;
             outcome.errorKind = e.kind();

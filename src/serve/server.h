@@ -6,7 +6,7 @@
  * makes the *process* a service: it accepts simulation jobs over a
  * local AF_UNIX socket (length-prefixed JSON frames, serve/protocol.h),
  * executes them through the runner's per-job isolation machinery
- * (ExperimentRunner::runJob) on a fixed set of worker threads, and
+ * (ExperimentRunner::runOne) on a fixed set of worker threads, and
  * keeps the trace/compile/result/twiddle caches warm across requests — the
  * paper's 130-job sweep becomes steady-state traffic instead of a
  * cold-start CLI invocation per batch.

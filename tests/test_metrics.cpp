@@ -3,8 +3,8 @@
  * Metrics-layer tests: the process-wide registry (counters, gauges,
  * log2 histograms), the Prometheus / ufc.metrics-v1 expositions, the
  * flight recorder's wrap-around ordering, the ProgramCache eviction
- * bound, prof::writeJson, and the guarantee that turning metrics on
- * changes no simulated result.
+ * bound, the runner's job metrics, and the guarantee that turning
+ * metrics on changes no simulated result.
  *
  * Run as `ctest -L metrics` (the `metrics_suite` aggregate target); the
  * CI metrics-differential job additionally runs it under TSan, which is
@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/prof.h"
 #include "metrics/flight_recorder.h"
 #include "metrics/metrics.h"
 #include "runner/report.h"
@@ -539,19 +538,20 @@ TEST(MetricsDifferential, RunnerBatchBitIdenticalOnVsOff)
 
     runner::RunnerConfig cfg;
     cfg.threads = 2;
-    cfg.measureHostTime = false; // keep host_seconds off the comparison
 
     metrics::setEnabled(false);
-    const auto off = runner::ExperimentRunner(cfg).run(jobs);
+    auto off = runner::ExperimentRunner(cfg).run(jobs);
 
     metrics::setEnabled(true);
     metrics::resetForTest();
-    const auto on = runner::ExperimentRunner(cfg).run(jobs);
+    auto on = runner::ExperimentRunner(cfg).run(jobs);
     metrics::resetForTest();
     metrics::setEnabled(false);
 
     ASSERT_EQ(on.size(), off.size());
     for (std::size_t i = 0; i < off.size(); ++i) {
+        // Host wall-clock is the one field allowed to differ.
+        off[i].hostSeconds = on[i].hostSeconds = 0.0;
         EXPECT_EQ(off[i].toJson(), on[i].toJson()) << off[i].label;
         EXPECT_EQ(off[i].toCsvRow(), on[i].toCsvRow()) << off[i].label;
     }
@@ -560,6 +560,29 @@ TEST(MetricsDifferential, RunnerBatchBitIdenticalOnVsOff)
 // ---------------------------------------------------------------------
 // Runner integration: report envelope and failure post-mortem
 // ---------------------------------------------------------------------
+
+TEST_F(MetricsTest, RunOneCountsAndTimesEveryJob)
+{
+    // ufc_serve's workers call runOne() directly, not through runAll():
+    // their jobs must land in the same counters and latency histogram.
+    runner::Job job;
+    job.label = "direct";
+    job.model = std::make_shared<sim::UfcModel>();
+    job.trace = std::make_shared<const trace::Trace>(smallHybridTrace());
+    const runner::ExperimentRunner runner;
+    runner::ProgramCache cache;
+    constexpr u64 kJobs = 3;
+    for (u64 i = 0; i < kJobs; ++i) {
+        sim::RunResult result;
+        runner::JobOutcome outcome;
+        runner.runOne(job, i, result, outcome, &cache);
+        ASSERT_TRUE(outcome.ok()) << outcome.message;
+    }
+    EXPECT_EQ(metrics::counter("ufc_runner_jobs_total").value(), kJobs);
+    EXPECT_EQ(metrics::counter("ufc_runner_jobs_ok_total").value(), kJobs);
+    EXPECT_EQ(metrics::histogram("ufc_runner_job_duration_us").count(),
+              kJobs);
+}
 
 TEST_F(MetricsTest, BatchReportEmbedsMetricsBlockOnlyWhenOn)
 {
@@ -656,73 +679,6 @@ TEST_F(MetricsTest, FailedJobWithMetricsOffHasNoEvents)
     ASSERT_EQ(batch.outcomes.size(), 1u);
     ASSERT_FALSE(batch.outcomes[0].ok());
     EXPECT_TRUE(batch.outcomes[0].recentEvents.empty());
-}
-
-// ---------------------------------------------------------------------
-// prof::writeJson (satellite 3)
-// ---------------------------------------------------------------------
-
-TEST(ProfJson, SchemaAndOrdering)
-{
-    prof::setEnabled(true);
-    prof::reset();
-    // Registry-owned, never freed — same idiom as UFC_PROF_SCOPE sites.
-    static prof::Counter &fast =
-        prof::detail::site(*new prof::Counter("test/json/fast"));
-    static prof::Counter &slow =
-        prof::detail::site(*new prof::Counter("test/json/slow"));
-    fast.add(100);
-    fast.add(100);
-    slow.add(10000);
-
-    std::ostringstream os;
-    prof::writeJson(os);
-    prof::setEnabled(false);
-    const std::string out = os.str();
-
-    expectBalancedJson(out);
-    EXPECT_EQ(out.find("{\"schema\":\"ufc.profile/v1\",\"counters\":["),
-              0u) << out;
-    EXPECT_NE(
-        out.find("{\"name\":\"test/json/slow\",\"calls\":1,"
-                 "\"total_ns\":10000,\"mean_ns\":10000}"),
-        std::string::npos) << out;
-    EXPECT_NE(
-        out.find("{\"name\":\"test/json/fast\",\"calls\":2,"
-                 "\"total_ns\":200,\"mean_ns\":100}"),
-        std::string::npos) << out;
-    // Sorted by total time descending: slow before fast.
-    EXPECT_LT(out.find("test/json/slow"), out.find("test/json/fast"));
-}
-
-TEST(ProfJson, ResetAndConcurrentAddAreRaceFree)
-{
-    prof::setEnabled(true);
-    static prof::Counter &hammered =
-        prof::detail::site(*new prof::Counter("test/json/hammered"));
-
-    constexpr int kThreads = 4;
-    constexpr int kIters = 5000;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t)
-        workers.emplace_back([&] {
-            for (int i = 0; i < kIters; ++i)
-                hammered.add(3);
-        });
-    // Concurrent snapshots and resets: relaxed atomics, no torn reads.
-    std::thread churner([&] {
-        for (int i = 0; i < 50; ++i) {
-            std::ostringstream os;
-            prof::writeJson(os);
-            prof::reset();
-        }
-    });
-    for (auto &w : workers)
-        w.join();
-    churner.join();
-    prof::reset();
-    prof::setEnabled(false);
-    EXPECT_EQ(hammered.calls.load(), 0u);
 }
 
 } // namespace

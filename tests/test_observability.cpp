@@ -2,8 +2,8 @@
  * @file
  * Observability-layer tests: per-opcode attribution invariants, stall
  * accounting, the Chrome trace-event (Perfetto) timeline export, the
- * prefetch-window sentinel, the host profiler, and the guarantee that
- * turning observation on changes no simulated result.
+ * prefetch-window sentinel, and the guarantee that turning observation
+ * on changes no simulated result.
  */
 
 #include <cctype>
@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/prof.h"
+#include "metrics/metrics.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
 #include "sim/engine.h"
@@ -416,9 +416,9 @@ TEST(Observability, InstrumentedRunIsBitIdenticalSerialAndParallel)
     serialCfg.threads = 1;
     const auto baseline = runner::ExperimentRunner(serialCfg).run(jobs);
 
-    // Instrumented: host profiler on, a timeline per job, parallel
+    // Instrumented: metrics registry on, a timeline per job, parallel
     // execution with progress lines.
-    prof::setEnabled(true);
+    metrics::setEnabled(true);
     std::vector<Timeline> timelines(jobs.size());
     auto instrumented = jobs;
     for (size_t i = 0; i < jobs.size(); ++i)
@@ -430,7 +430,7 @@ TEST(Observability, InstrumentedRunIsBitIdenticalSerialAndParallel)
     const auto observed =
         runner::ExperimentRunner(parCfg).run(instrumented);
     const std::string progressOut = testing::internal::GetCapturedStderr();
-    prof::setEnabled(false);
+    metrics::setEnabled(false);
 
     ASSERT_EQ(observed.size(), baseline.size());
     for (size_t i = 0; i < baseline.size(); ++i) {
@@ -526,58 +526,6 @@ TEST(ObservabilityDeathTest, PeUtilizationAssertsWhenOverUnity)
     EXPECT_DEATH((void)stats.peUtilization(), "PE busy cycles");
 }
 #endif
-
-// ---------------------------------------------------------------------
-// Host profiler
-// ---------------------------------------------------------------------
-
-TEST(Observability, HostProfilerRecordsOnlyWhenEnabled)
-{
-    prof::setEnabled(false);
-    prof::reset();
-    {
-        UFC_PROF_SCOPE("test.disabled_scope");
-    }
-    EXPECT_FALSE(prof::hasSamples());
-
-    prof::setEnabled(true);
-    for (int i = 0; i < 3; ++i) {
-        UFC_PROF_SCOPE("test.enabled_scope");
-    }
-    EXPECT_TRUE(prof::hasSamples());
-    std::ostringstream os;
-    prof::report(os);
-    EXPECT_NE(os.str().find("test.enabled_scope"), std::string::npos);
-    EXPECT_NE(os.str().find("host profile"), std::string::npos);
-
-    prof::setEnabled(false);
-    prof::reset();
-    EXPECT_FALSE(prof::hasSamples());
-}
-
-TEST(Observability, HostProfilerIsThreadSafeUnderKernelPool)
-{
-    prof::setEnabled(true);
-    prof::reset();
-    // Drive the instrumented NTT/RNS kernels from runner worker threads
-    // (TSan coverage for the relaxed-atomic accumulation).
-    const auto tp = tfhe::TfheParams::t1();
-    const auto tracePtr =
-        std::make_shared<trace::Trace>(workloads::pbsThroughput(tp, 32));
-    const auto model = std::make_shared<sim::UfcModel>();
-    std::vector<runner::Job> jobs;
-    for (int i = 0; i < 4; ++i) {
-        UFC_PROF_SCOPE("test.batch_scope");
-        jobs.push_back({"job" + std::to_string(i), model, tracePtr,
-                        RunOptions{}, ""});
-    }
-    runner::RunnerConfig cfg;
-    cfg.threads = 4;
-    (void)runner::ExperimentRunner(cfg).run(jobs);
-    EXPECT_TRUE(prof::hasSamples());
-    prof::setEnabled(false);
-    prof::reset();
-}
 
 } // namespace
 } // namespace ufc

@@ -197,8 +197,8 @@ TEST(ProgramCacheGaps, RepeatRunIsAMemoHit)
     const ExperimentRunner runner;
     sim::RunResult a, b;
     runner::JobOutcome oa, ob;
-    runner.runJob(job, 0, a, oa, &cache);
-    runner.runJob(job, 1, b, ob, &cache);
+    runner.runOne(job, 0, a, oa, &cache);
+    runner.runOne(job, 1, b, ob, &cache);
     ASSERT_TRUE(oa.ok() && ob.ok());
     EXPECT_EQ(cache.runHits(), 1u);
     EXPECT_EQ(b.label, "runner/repeat");

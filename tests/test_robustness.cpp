@@ -362,7 +362,7 @@ TEST(Robustness, FaultySweepMatchesCleanSweepAndReportsFailures)
 
 TEST(Robustness, ReportRefusesUnwritablePath)
 {
-    const std::vector<sim::RunResult> none;
+    const runner::BatchResult none;
     EXPECT_THROW(
         runner::saveJsonReport(none, "/nonexistent-dir/out.json"),
         ConfigError);

@@ -238,15 +238,16 @@ TEST(RunnerReport, JsonReportCarriesSchemaAndAllRuns)
     std::vector<Job> jobs;
     jobs.push_back(Job{"r/UFC", ufcm, pbs, RunOptions{}, ""});
     jobs.push_back(Job{"r/Strix", strix, pbs, RunOptions{}, ""});
-    const auto results = ExperimentRunner().run(jobs);
+    const auto batch = ExperimentRunner().runAll(jobs);
 
     std::ostringstream json;
     runner::ReportMeta meta;
     meta.threads = 2;
-    runner::writeJsonReport(results, json, meta);
+    runner::writeJsonReport(batch, json, meta);
     const auto doc = json.str();
-    EXPECT_NE(doc.find("\"schema\":\"ufc.report/v1\""),
+    EXPECT_NE(doc.find("\"schema\":\"ufc.report/v2\""),
               std::string::npos);
+    EXPECT_NE(doc.find("\"failure_count\":0"), std::string::npos);
     EXPECT_NE(doc.find("\"schema\":\"ufc.runresult/v2\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"run_count\":2"), std::string::npos);
@@ -254,7 +255,7 @@ TEST(RunnerReport, JsonReportCarriesSchemaAndAllRuns)
     EXPECT_NE(doc.find("\"label\":\"r/Strix\""), std::string::npos);
 
     std::ostringstream csv;
-    runner::writeCsvReport(results, csv);
+    runner::writeCsvReport(batch, csv);
     const std::string csvDoc = csv.str();
     EXPECT_EQ(std::count(csvDoc.begin(), csvDoc.end(), '\n'), 3);
     // header + 2 rows

@@ -636,7 +636,7 @@ TEST(ServeLifecycle, SoakIsBitIdenticalToSerialRunner)
             sim::RunResult result;
             runner::JobOutcome outcome;
             runner::ExperimentRunner(runner::RunnerConfig{})
-                .runJob(job, 0, result, outcome, nullptr);
+                .runOne(job, 0, result, outcome, nullptr);
             ASSERT_TRUE(outcome.ok()) << outcome.message;
             (spec == &textA ? expectA : expectB) =
                 normalizedDump(parseJson(result.toJson()));
