@@ -4,7 +4,7 @@
  * constant-geometry transforms, and serial vs limb-parallel RNS
  * polynomial operations.
  *
- * Unlike the figure benches this does not drive the accelerator
+ * Unlike the other benches this does not drive the accelerator
  * simulator; it times the host kernels directly with steady_clock and
  * reports per-op wall time.  Results can be exported in the standard
  * ufc.report/v2 envelope (--json / --csv), with one run entry per
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -237,14 +238,46 @@ benchRns(Suite &suite, int logN, int limbs)
                   "kernels/rns-ntt-roundtrip/par/" + tag);
 }
 
+struct Cli
+{
+    int threads = 0; ///< kernel pool threads; 0 keeps the default
+    std::string jsonPath;
+    std::string csvPath;
+};
+
+Cli
+parseCli(int argc, char **argv)
+{
+    Cli cli;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--serial") {
+            cli.threads = 1;
+        } else if ((arg == "--threads" || arg == "--json" ||
+                    arg == "--csv") && i + 1 < argc) {
+            const char *v = argv[++i];
+            if (arg == "--threads")
+                cli.threads = bench::numArg(arg, v, 0);
+            else
+                (arg == "--json" ? cli.jsonPath : cli.csvPath) = v;
+        } else {
+            std::fprintf(stderr, "bad option %s (supported: --threads N, "
+                         "--serial, --json PATH, --csv PATH)\n",
+                         arg.c_str());
+            std::exit(2);
+        }
+    }
+    return cli;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const bench::SweepCli cli = bench::parseSweepCli(argc, argv);
-    if (cli.runnerConfig.threads > 0)
-        setKernelThreads(cli.runnerConfig.threads);
+    const Cli cli = parseCli(argc, argv);
+    if (cli.threads > 0)
+        setKernelThreads(cli.threads);
 
     bench::header("Kernel-layer microbenchmarks",
                   "the software baseline of Section VI; host kernels only");

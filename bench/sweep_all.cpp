@@ -1,9 +1,12 @@
 /**
  * @file
  * One-shot parallel reproduction of the paper's entire evaluation sweep
- * (Figures 10(a), 10(b), 12, 13, 14): every workload x accelerator x
- * configuration job from runner::paperSweeps() executed across a thread
- * pool, with a structured JSON (and optionally CSV) report.
+ * (Figures 10(a), 10(b), 11, 12, 13, 14, 15): every workload x
+ * accelerator x configuration job from runner::paperSweeps() executed
+ * across a thread pool, with a structured JSON (and optionally CSV)
+ * report.  After the batch it prints the paper-claims table
+ * (runner/claims.h) for every figure whose sweep ran; the report
+ * carries the same rows as its "paper" block.
  *
  * Fault tolerance: each job runs inside the runner's isolation boundary,
  * so a corrupt user trace, an invalid configuration, or a watchdog trip
@@ -29,9 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "metrics/metrics.h"
+#include "runner/claims.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
 
@@ -119,8 +124,8 @@ usage(const char *argv0)
         "  --serial          single-threaded execution\n"
         "  --json PATH       JSON report path (default: ufc_sweep.json)\n"
         "  --csv PATH        also write a CSV report\n"
-        "  --sweep NAME      only run one sweep (fig10a|fig10b|fig12|"
-        "fig13|fig14); repeatable\n"
+        "  --sweep NAME      only run one sweep (fig10a|fig10b|fig11|"
+        "fig12|fig13|fig14|fig15); repeatable\n"
         "  --trace FILE      also simulate FILE on the UFC machine\n"
         "                    (repeatable; loaded inside the job's fault\n"
         "                    isolation, so a corrupt file fails only its\n"
@@ -203,7 +208,7 @@ try {
             return argv[++i];
         };
         if (arg == "--threads")
-            cfg.threads = std::atoi(value());
+            cfg.threads = bench::numArg(arg, value(), 0);
         else if (arg == "--serial")
             cfg.threads = 1;
         else if (arg == "--json")
@@ -217,13 +222,13 @@ try {
         else if (arg == "--no-paper")
             noPaper = true;
         else if (arg == "--retries")
-            cfg.maxRetries = std::atoi(value());
+            cfg.maxRetries = bench::numArg(arg, value(), 0);
         else if (arg == "--retry-backoff-ms")
-            cfg.retryBackoff.baseMs = std::atof(value());
+            cfg.retryBackoff.baseMs = bench::numArg(arg, value(), 0.0);
         else if (arg == "--timeout")
-            cfg.jobTimeoutSeconds = std::atof(value());
+            cfg.jobTimeoutSeconds = bench::numArg(arg, value(), 0.0);
         else if (arg == "--max-cycles")
-            maxCycles = std::strtoull(value(), nullptr, 10);
+            maxCycles = bench::numArg<long long>(arg, value(), 0);
         else if (arg == "--lint")
             lint = true;
         else if (arg == "--dataflow")
@@ -268,19 +273,22 @@ try {
     std::vector<runner::Sweep> sweeps;
     if (!noPaper) {
         sweeps = runner::paperSweeps();
-        if (!only.empty()) {
-            std::vector<runner::Sweep> selected;
-            for (auto &sweep : sweeps)
-                for (const auto &name : only)
-                    if (sweep.name == name)
-                        selected.push_back(std::move(sweep));
-            if (selected.empty()) {
-                std::fprintf(stderr,
-                             "no sweep matched --sweep filters\n");
+        for (const auto &name : only) {
+            if (std::ranges::none_of(sweeps, [&](const runner::Sweep &s) {
+                    return s.name == name;
+                })) {
+                std::string valid;
+                for (const auto &sweep : sweeps)
+                    valid += " " + sweep.name;
+                std::fprintf(stderr, "unknown --sweep %s (valid:%s)\n",
+                             name.c_str(), valid.c_str());
                 return 2;
             }
-            sweeps = std::move(selected);
         }
+        if (!only.empty())
+            std::erase_if(sweeps, [&](const runner::Sweep &sweep) {
+                return std::ranges::find(only, sweep.name) == only.end();
+            });
     }
     auto jobs = runner::allJobs(sweeps);
 
@@ -380,6 +388,11 @@ try {
                     "upper/lower ratio: cycles x%.3f, hbm x%.3f\n",
                     checked, checked, worstCycles, worstHbm);
     }
+
+    const auto claims = runner::evaluateClaims(batch);
+    if (!claims.empty())
+        std::printf("\npaper claims:\n%s\n",
+                    runner::renderClaims(claims).c_str());
 
     const bool interrupted = batch.interrupted();
     if (interrupted)

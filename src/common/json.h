@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared JSON string escaping.
+ * Shared JSON string escaping and number formatting.
  *
  * Every JSON writer in the repo (runner reports, RunResult::toJson, the
  * metrics exposition, the sweep_all bench record) quotes
@@ -58,6 +58,15 @@ quote(const std::string &s)
     out += escape(s);
     out += '"';
     return out;
+}
+
+/** `v` as a JSON number; %.17g parses back to the same double. */
+inline std::string
+number(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
 } // namespace json

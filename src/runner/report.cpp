@@ -5,6 +5,7 @@
 
 #include "runner/report.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -12,6 +13,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "metrics/metrics.h"
+#include "runner/claims.h"
 
 namespace ufc {
 namespace runner {
@@ -41,6 +43,24 @@ csvStr(const std::string &s)
     }
     out += "\"";
     return out;
+}
+
+/** The "paper" array: one {id, sim, paper, ln_ratio, in_band} object
+ *  per claim, null for the fields a row does not have. */
+void
+writeClaims(const std::vector<ClaimValue> &values, std::ostream &os)
+{
+    const auto num = [](double v) {
+        return std::isfinite(v) ? json::number(v) : "null";
+    };
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const ClaimValue &v = values[i];
+        os << (i ? ",\n" : "\n") << "{\"id\":" << jsonStr(v.claim->id)
+           << ",\"sim\":" << num(v.sim) << ",\"paper\":"
+           << num(v.claim->paper.value_or(NAN))
+           << ",\"ln_ratio\":" << num(v.lnRatio) << ",\"in_band\":"
+           << (v.inBand ? (*v.inBand ? "true" : "false") : "null") << "}";
+    }
 }
 
 std::ofstream
@@ -104,15 +124,17 @@ writeJsonReport(const BatchResult &batch, std::ostream &os,
             os << ",";
         os << "\n" << ok[i].toJson();
     }
+    const std::vector<ClaimValue> claims = evaluateClaims(batch);
+    os << "\n],\"paper\":[";
+    writeClaims(claims, os);
+    os << (claims.empty() ? "]" : "\n]");
     // The host-side metrics block, appended only when the registry is
     // on so metrics-off reports stay byte-stable.
     if (metrics::enabled()) {
-        os << "\n],\"metrics\":";
+        os << ",\"metrics\":";
         metrics::writeJson(os);
-        os << "}\n";
-    } else {
-        os << "\n]}\n";
     }
+    os << "}\n";
 }
 
 void

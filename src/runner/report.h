@@ -5,10 +5,13 @@
  *
  * The JSON envelope, "ufc.report/v2", holds the metadata, a top-level
  * "failures" array ({label, status, error_kind, message, attempts} per
- * non-ok job), "failure_count", and one sim::RunResult::toJson() object
- * per successful job.  The CSV holds RunResult::csvHeader() plus
- * status/attempts/error_kind/error columns, one row per job; failed
- * rows keep their label with the metric columns zeroed.
+ * non-ok job), "failure_count", one sim::RunResult::toJson() object
+ * per successful job in "runs", and the "paper" array: one
+ * {id, sim, paper, ln_ratio, in_band} entry per paper claim whose sweep
+ * is in the batch (runner/claims.h; empty for other batches).  The CSV
+ * holds RunResult::csvHeader() plus status/attempts/error_kind/error
+ * columns, one row per job; failed rows keep their label with the
+ * metric columns zeroed.
  */
 
 #ifndef UFC_RUNNER_REPORT_H

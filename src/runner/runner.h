@@ -440,8 +440,8 @@ class ResultSet
     std::unordered_map<std::string, std::size_t> byLabel_;
 };
 
-/** Canonical label format shared by the sweep builders and the benches:
- *  "<sweep>/<group>/<workload>/<machine>". */
+/** Canonical label format shared by the sweep builders and the claims
+ *  table: "<sweep>/<group>/<workload>/<machine>". */
 std::string jobLabel(const std::string &sweep, const std::string &group,
                      const std::string &workload,
                      const std::string &machine);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Paper sweep definitions (Figures 10-14) as runner job lists.
+ * Paper sweep definitions (Figures 10-15) as runner job lists.
  */
 
 #include "runner/sweeps.h"
@@ -94,6 +94,23 @@ fig10bSweep()
 }
 
 Sweep
+fig11Sweep()
+{
+    Sweep sweep{"fig11", "hybrid k-NN, UFC vs SHARP+Strix (C2 x T1-T4)",
+                {}};
+    const auto ufcm = std::make_shared<sim::UfcModel>();
+    const auto composed = std::make_shared<sim::ComposedModel>();
+    for (const auto &tp : {tfhe::TfheParams::t1(), tfhe::TfheParams::t2(),
+                           tfhe::TfheParams::t3(),
+                           tfhe::TfheParams::t4()}) {
+        cross(sweep, tp.name,
+              share({workloads::hybridKnn(ckks::CkksParams::c2(), tp)}),
+              {{"UFC", ufcm}, {"SHARP+Strix", composed}});
+    }
+    return sweep;
+}
+
+Sweep
 fig12Sweep()
 {
     Sweep sweep{"fig12", "UFC component utilization (CKKS C2, TFHE T2)",
@@ -149,15 +166,37 @@ fig14Sweep()
     return sweep;
 }
 
+Sweep
+fig15Sweep()
+{
+    Sweep sweep{"fig15", "PBS packing: none vs CoLP vs TvLP (T1-T4)", {}};
+    auto noPack = sim::UfcConfig::tableII();
+    noPack.smallPolyPacking = false;
+    const auto none = std::make_shared<sim::UfcModel>(noPack);
+    const auto colp = std::make_shared<sim::UfcModel>(
+        sim::UfcConfig::tableII(), compiler::Parallelism::CoLP);
+    const auto tvlp = std::make_shared<sim::UfcModel>(
+        sim::UfcConfig::tableII(), compiler::Parallelism::TvLP);
+    for (const auto &tp : {tfhe::TfheParams::t1(), tfhe::TfheParams::t2(),
+                           tfhe::TfheParams::t3(),
+                           tfhe::TfheParams::t4()}) {
+        cross(sweep, tp.name, share({workloads::pbsThroughput(tp, 512)}),
+              {{"none", none}, {"CoLP", colp}, {"TvLP", tvlp}});
+    }
+    return sweep;
+}
+
 std::vector<Sweep>
 paperSweeps()
 {
     std::vector<Sweep> sweeps;
     sweeps.push_back(fig10aSweep());
     sweeps.push_back(fig10bSweep());
+    sweeps.push_back(fig11Sweep());
     sweeps.push_back(fig12Sweep());
     sweeps.push_back(fig13Sweep());
     sweeps.push_back(fig14Sweep());
+    sweeps.push_back(fig15Sweep());
     return sweeps;
 }
 

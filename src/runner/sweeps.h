@@ -1,12 +1,12 @@
 /**
  * @file
  * Declarative job lists for the paper's evaluation sweeps (Figures
- * 10-14).  Each builder returns the full cross product of workloads x
+ * 10-15).  Each builder returns the full cross product of workloads x
  * accelerators x configurations for one figure; paperSweeps() returns
  * them all, so a single ExperimentRunner invocation reproduces the whole
- * evaluation in parallel.  The figure benches and the `sweep_all` CLI
- * both consume these definitions, keyed by the canonical jobLabel()
- * format "<sweep>/<group>/<workload>/<machine>".
+ * evaluation in parallel.  The `sweep_all` CLI and the paper-claims
+ * table (runner/claims.h) both consume these definitions, keyed by the
+ * canonical jobLabel() format "<sweep>/<group>/<workload>/<machine>".
  */
 
 #ifndef UFC_RUNNER_SWEEPS_H
@@ -36,6 +36,10 @@ Sweep fig10aSweep();
  *  Groups: parameter-set names ("T1".."T4"). */
 Sweep fig10bSweep();
 
+/** Figure 11: the hybrid k-NN (C2 with each of T1-T4) x {UFC,
+ *  SHARP+Strix}.  Groups: TFHE parameter-set names ("T1".."T4"). */
+Sweep fig11Sweep();
+
 /** Figure 12: UFC utilization on the CKKS (C2) and TFHE (T2) suites.
  *  Groups: "ckks" and "tfhe". */
 Sweep fig12Sweep();
@@ -48,13 +52,18 @@ Sweep fig13Sweep();
  *  (C2) suite.  Groups: "l<lanes>-s<spadMb>". */
 Sweep fig14Sweep();
 
+/** Figure 15: a 512-bootstrap PBS batch at T1-T4 on UFC without
+ *  small-polynomial packing ("none"), with CoLP and with TvLP.  Groups:
+ *  parameter-set names ("T1".."T4"). */
+Sweep fig15Sweep();
+
 /** All of the above, in figure order. */
 std::vector<Sweep> paperSweeps();
 
 /** Concatenate several sweeps' jobs into one batch. */
 std::vector<Job> allJobs(const std::vector<Sweep> &sweeps);
 
-/** fig13/fig14 group tags (shared with the DSE benches). */
+/** fig13/fig14 group tags. */
 std::string dseNetworkGroup(int networks, double spadMb);
 std::string dseLaneGroup(int lanes, double spadMb);
 

@@ -207,11 +207,7 @@ JsonValue::dump() const
       case Type::Null: return "null";
       case Type::Bool: return b_ ? "true" : "false";
       case Type::Int: return std::to_string(i_);
-      case Type::Double: {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", d_);
-        return buf;
-      }
+      case Type::Double: return json::number(d_);
       case Type::String: return json::quote(s_);
       case Type::Array: {
         std::string out = "[";

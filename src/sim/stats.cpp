@@ -46,13 +46,7 @@ resolvedPrefetchWindow(const RunOptions &opts)
 
 namespace {
 
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+constexpr auto num = json::number;
 
 /** Shared JSON string escaping (common/json.h). */
 std::string

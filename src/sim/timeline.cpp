@@ -16,19 +16,14 @@
 #include <ostream>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace ufc {
 namespace sim {
 
 namespace {
 
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+constexpr auto num = json::number;
 
 } // namespace
 

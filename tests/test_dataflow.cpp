@@ -614,6 +614,9 @@ TEST(DataflowRunner, BoundsHoldAcrossFullPaperSweepBitIdentically)
 {
     std::vector<runner::Job> plain =
         runner::allJobs(runner::paperSweeps());
+    // Every paper job, the composed SHARP+Strix ones of Fig. 11
+    // included: their bounds add up the two chips' sub-Programs.
+    ASSERT_EQ(plain.size(), 150u);
     std::vector<runner::Job> gated = plain;
     for (runner::Job &j : gated) {
         j.options.dataflowLint = true;

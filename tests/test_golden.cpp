@@ -1,8 +1,14 @@
 /**
  * @file
- * Golden digest of the paper sweep: every job of runner::paperSweeps()
- * reduced to one line of exact numbers, compared against the committed
- * tests/golden/paper_sweep.txt.
+ * Golden checks of the paper sweep.  One run of runner::paperSweeps()
+ * per process serves every check below:
+ *
+ *  - the digest: every job reduced to one line of exact numbers,
+ *    compared against the committed tests/golden/paper_sweep.txt;
+ *  - the paper claims (runner/claims.h): every band holds, and the
+ *    rendered table equals the block EXPERIMENTS.md embeds between its
+ *    paper-claims markers;
+ *  - the claims reproduce perfbench's paper_err.
  *
  * Each line holds the job label, then total cycles, HBM bytes, energy
  * and the per-opcode cycles as hex floats, so any change to a simulated
@@ -10,17 +16,23 @@
  * purpose re-baselines the file: on a mismatch the test writes the
  * actual digest next to the test binary (paper_sweep.actual.txt) and
  * names the first differing job; copy that file over the golden one and
- * show the diff.
+ * show the diff.  A drifted claims block is handled the same way through
+ * paper_claims.actual.md.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "runner/claims.h"
 #include "runner/runner.h"
 #include "runner/sweeps.h"
 
@@ -76,13 +88,37 @@ readLines(const std::string &path)
     return lines;
 }
 
+/** The paper sweep, run once per process. */
+struct PaperRun
+{
+    std::vector<runner::Job> jobs;
+    runner::BatchResult batch;
+};
+
+const PaperRun &
+paperRun()
+{
+    static const PaperRun run = [] {
+        PaperRun r;
+        r.jobs = runner::allJobs(runner::paperSweeps());
+        r.batch = runner::ExperimentRunner().runAll(r.jobs);
+        return r;
+    }();
+    return run;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(Golden, PaperSweepMatchesDigest)
 {
-    const std::vector<runner::Job> jobs =
-        runner::allJobs(runner::paperSweeps());
-    const runner::BatchResult batch =
-        runner::ExperimentRunner().runAll(jobs);
-    const std::vector<std::string> actual = digestLines(jobs, batch);
+    const std::vector<runner::Job> &jobs = paperRun().jobs;
+    const std::vector<std::string> actual =
+        digestLines(jobs, paperRun().batch);
     const std::vector<std::string> golden = readLines(UFC_GOLDEN_FILE);
 
     std::size_t first = 0;
@@ -110,6 +146,123 @@ TEST(Golden, PaperSweepMatchesDigest)
         msg << "golden line '" << golden[first] << "' has no job";
     msg << ".  Actual digest written to " << out;
     FAIL() << msg.str();
+}
+
+TEST(Golden, PaperClaimsHoldTheirBands)
+{
+    const std::vector<runner::ClaimValue> values =
+        runner::evaluateClaims(paperRun().batch);
+    ASSERT_EQ(values.size(), runner::paperClaims().size());
+    for (const runner::ClaimValue &v : values) {
+        EXPECT_TRUE(std::isfinite(v.sim)) << v.claim->id;
+        if (v.claim->above) {
+            EXPECT_TRUE(v.inBand.value_or(false))
+                << v.claim->id << " = " << v.sim << ", band > "
+                << *v.claim->above;
+        }
+    }
+}
+
+TEST(Golden, ExperimentsClaimsBlockMatchesRendering)
+{
+    const std::string begin = "<!-- paper-claims:begin -->\n";
+    const std::string end = "<!-- paper-claims:end -->";
+    const std::string doc = readFile(UFC_EXPERIMENTS_FILE);
+    const std::size_t b = doc.find(begin);
+    const std::size_t e = doc.find(end);
+    ASSERT_NE(b, std::string::npos) << UFC_EXPERIMENTS_FILE;
+    ASSERT_NE(e, std::string::npos) << UFC_EXPERIMENTS_FILE;
+    ASSERT_LT(b, e);
+    const std::string block =
+        doc.substr(b + begin.size(), e - b - begin.size());
+
+    const std::string actual =
+        runner::renderClaims(runner::evaluateClaims(paperRun().batch));
+    if (block == actual)
+        return;
+    const std::string out =
+        std::string(UFC_GOLDEN_OUT_DIR) + "/paper_claims.actual.md";
+    std::ofstream(out) << actual;
+    FAIL() << "the claims block of " << UFC_EXPERIMENTS_FILE
+           << " differs from the rendered table; the rendering is in "
+           << out << " (paste it between the paper-claims markers)";
+}
+
+/** Mean |ln(sim/paper)| over the claims whose id starts with one of
+ *  `prefixes`, as perfbench's paper_err takes it. */
+double
+paperErr(const std::vector<runner::ClaimValue> &values,
+         const std::vector<std::string> &prefixes)
+{
+    double sum = 0.0;
+    int n = 0;
+    for (const runner::ClaimValue &v : values)
+        for (const std::string &p : prefixes)
+            if (v.claim->paper && v.claim->id.rfind(p, 0) == 0) {
+                sum += std::fabs(v.lnRatio);
+                ++n;
+            }
+    return sum / n;
+}
+
+TEST(Golden, ClaimsReproducePerfbenchPaperErr)
+{
+    // perfbench/baseline.json: ckks_dse reads Fig. 10(a) and the CKKS
+    // half of Fig. 12, serve_warm all of Fig. 12.
+    const std::vector<runner::ClaimValue> values =
+        runner::evaluateClaims(paperRun().batch);
+    EXPECT_NEAR(paperErr(values, {"fig10a.", "fig12.ckks."}),
+                0.19625650856165638, 1e-9);
+    EXPECT_NEAR(paperErr(values, {"fig12.ckks.", "fig12.tfhe."}),
+                0.9007725682843216, 1e-9);
+}
+
+TEST(Golden, EditedResultTakesExactlyItsClaimOutOfBand)
+{
+    const runner::BatchResult &batch = paperRun().batch;
+    ASSERT_TRUE(batch.allOk());
+    std::vector<sim::RunResult> edited = batch.results;
+    const auto at = [&](const std::string &label) -> sim::RunResult & {
+        for (sim::RunResult &r : edited)
+            if (r.label == label)
+                return r;
+        throw std::runtime_error("no job " + label);
+    };
+    // CoLP at T4 now runs twice as fast as TvLP: TvLP no longer wins
+    // every parameter set, while the T3 -> T4 gap still shrinks.
+    at("fig15/T4/PBS-T4/CoLP").seconds =
+        0.5 * at("fig15/T4/PBS-T4/TvLP").seconds;
+
+    const auto outOfBand = [](const runner::ResultSet &rs) {
+        std::set<std::string> ids;
+        for (const runner::ClaimValue &v : runner::evaluateClaims(rs))
+            if (!v.inBand.value_or(true))
+                ids.insert(v.claim->id);
+        return ids;
+    };
+    EXPECT_EQ(outOfBand(runner::ResultSet(batch.results)),
+              std::set<std::string>{});
+    EXPECT_EQ(outOfBand(runner::ResultSet(std::move(edited))),
+              std::set<std::string>{"fig15.tvlp_over_colp"});
+}
+
+TEST(Golden, ClaimsNeedTheirWholeSweep)
+{
+    // A sweep absent from the set has no rows; a sweep with a missing
+    // job has rows without a value, never a value over fewer jobs.
+    std::vector<sim::RunResult> runs;
+    for (const sim::RunResult &r : paperRun().batch.results)
+        if (r.label.rfind("fig10b/", 0) == 0 &&
+            r.label != "fig10b/T1/PBS-T1/Strix")
+            runs.push_back(r);
+    const std::vector<runner::ClaimValue> values =
+        runner::evaluateClaims(runner::ResultSet(std::move(runs)));
+    ASSERT_FALSE(values.empty());
+    for (const runner::ClaimValue &v : values) {
+        EXPECT_EQ(v.claim->sweep, "fig10b");
+        EXPECT_TRUE(std::isnan(v.sim)) << v.claim->id;
+        EXPECT_FALSE(v.inBand.has_value()) << v.claim->id;
+    }
 }
 
 } // namespace

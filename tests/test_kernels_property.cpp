@@ -179,8 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 8, 10, 12),
                        ::testing::Values(30, 45, 50, 59)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>> &info) {
-        return "N" + std::to_string(std::get<0>(info.param)) + "_Q" +
-               std::to_string(std::get<1>(info.param));
+        std::string name = "N";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_Q";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 TEST(KernelProperty, TwiddleCacheReturnsStableSharedPointers)

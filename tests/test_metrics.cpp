@@ -399,7 +399,8 @@ TEST_F(MetricsTest, FlightRecorderWrapAroundKeepsNewestInOrder)
 {
     FlightRecorder fr(8);
     for (int i = 0; i < 20; ++i)
-        fr.record(EventKind::CacheMiss, "e" + std::to_string(i));
+        fr.record(EventKind::CacheMiss,
+                  std::string("e").append(std::to_string(i)));
     EXPECT_EQ(fr.totalRecorded(), 20u);
 
     // Only the last 8 survive the wrap, oldest first, in sequence order.
@@ -407,7 +408,7 @@ TEST_F(MetricsTest, FlightRecorderWrapAroundKeepsNewestInOrder)
     ASSERT_EQ(t.size(), 8u);
     for (std::size_t i = 0; i < t.size(); ++i) {
         EXPECT_EQ(t[i].seq, 12 + i);
-        EXPECT_EQ(t[i].label, "e" + std::to_string(12 + i));
+        EXPECT_EQ(t[i].label, std::string("e").append(std::to_string(12 + i)));
     }
     // Timestamps are monotone with sequence numbers.
     for (std::size_t i = 1; i < t.size(); ++i)

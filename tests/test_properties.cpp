@@ -58,8 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GadgetParam{8, 3}, GadgetParam{8, 4},
                       GadgetParam{11, 2}, GadgetParam{16, 2}),
     [](const auto &info) {
-        return "B" + std::to_string(std::get<0>(info.param)) + "_l" +
-               std::to_string(std::get<1>(info.param));
+        std::string name = "B";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_l";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 // ---------------------------------------------------------------------
@@ -173,8 +176,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GadgetParam{11, 2}, GadgetParam{8, 3},
                       GadgetParam{8, 4}, GadgetParam{4, 6}),
     [](const auto &info) {
-        return "B" + std::to_string(std::get<0>(info.param)) + "_l" +
-               std::to_string(std::get<1>(info.param));
+        std::string name = "B";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_l";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 // ---------------------------------------------------------------------

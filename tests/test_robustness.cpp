@@ -55,6 +55,21 @@ smallTrace(const std::string &name, int limbs, int muls)
     return tr;
 }
 
+/** A job with default RunOptions, built member by member: GCC 12 at
+ *  -O3 reports the aggregate Job{label, model, trace, {}, file} as
+ *  reading RunOptions::label uninitialized (-Wmaybe-uninitialized). */
+Job
+makeJob(std::string label, std::shared_ptr<const sim::AcceleratorModel> model,
+        std::shared_ptr<const Trace> trace, std::string traceFile = "")
+{
+    Job job;
+    job.label = std::move(label);
+    job.model = std::move(model);
+    job.trace = std::move(trace);
+    job.traceFile = std::move(traceFile);
+    return job;
+}
+
 std::string
 serialized(const Trace &tr)
 {
@@ -172,8 +187,8 @@ TEST(Robustness, MaxCyclesWatchdogTripsInParallelBatch)
 
     std::vector<Job> jobs;
     for (int i = 0; i < 3; ++i)
-        jobs.push_back(Job{"ok" + std::to_string(i), model, good, {}, ""});
-    Job watchdog{"watchdog", model, hung, {}, ""};
+        jobs.push_back(makeJob("ok" + std::to_string(i), model, good));
+    Job watchdog = makeJob("watchdog", model, hung);
     watchdog.options.maxCycles = 10;
     jobs.push_back(watchdog);
 
@@ -201,8 +216,8 @@ TEST(Robustness, JobMustSetExactlyOneTraceSource)
     const auto model = std::make_shared<sim::UfcModel>();
     const auto tr = std::make_shared<const Trace>(smallTrace("t", 4, 1));
 
-    Job neither{"neither", model, nullptr, {}, ""};
-    Job both{"both", model, tr, {}, "/tmp/also-a-file"};
+    Job neither = makeJob("neither", model, nullptr);
+    Job both = makeJob("both", model, tr, "/tmp/also-a-file");
     const auto batch = ExperimentRunner().runAll({neither, both});
     for (const auto &oc : batch.outcomes) {
         EXPECT_EQ(oc.status, JobStatus::Failed);
@@ -219,7 +234,7 @@ TEST(Robustness, InjectedFaultsRetryDeterministically)
     std::vector<Job> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back(
-            Job{"retry/" + std::to_string(i), model, tr, {}, ""});
+            makeJob("retry/" + std::to_string(i), model, tr));
 
     int retriedOk = 0;
     for (u64 seed = 1; seed <= 5; ++seed) {
@@ -271,7 +286,7 @@ TEST(Robustness, FaultySweepMatchesCleanSweepAndReportsFailures)
         const auto tr = std::make_shared<const Trace>(
             smallTrace("w" + std::to_string(i), 4 + i, 1 + i));
         clean.push_back(
-            Job{"clean/" + std::to_string(i), model, tr, {}, ""});
+            makeJob("clean/" + std::to_string(i), model, tr));
     }
 
     // Reference: the clean batch, serial.
@@ -286,18 +301,19 @@ TEST(Robustness, FaultySweepMatchesCleanSweepAndReportsFailures)
     const std::string corruptPath = writeTempFile(
         "ufc_corrupt.ufctrace",
         "xfctrace 3\n" + serialized(smallTrace("c", 4, 1)).substr(11));
-    Job corrupt{"bad/corrupt-trace", model, nullptr, {}, corruptPath};
+    Job corrupt =
+        makeJob("bad/corrupt-trace", model, nullptr, corruptPath);
     faulty.push_back(corrupt);
 
-    Job badOpts{"bad/run-options", model,
-                std::make_shared<const Trace>(smallTrace("b", 4, 1)),
-                {}, ""};
+    Job badOpts =
+        makeJob("bad/run-options", model,
+                std::make_shared<const Trace>(smallTrace("b", 4, 1)));
     badOpts.options.prefetchWindow = -5;
     faulty.push_back(badOpts);
 
-    Job watchdog{"bad/watchdog", model,
-                 std::make_shared<const Trace>(smallTrace("wd", 16, 8)),
-                 {}, ""};
+    Job watchdog =
+        makeJob("bad/watchdog", model,
+                std::make_shared<const Trace>(smallTrace("wd", 16, 8)));
     watchdog.options.maxCycles = 10;
     faulty.push_back(watchdog);
 

@@ -278,9 +278,13 @@ TEST(RunnerReport, RoundTripPrecisionSurvivesJson)
 TEST(RunnerSweeps, PaperSweepsCoverAllFiguresWithUniqueLabels)
 {
     const auto sweeps = runner::paperSweeps();
-    ASSERT_EQ(sweeps.size(), 5u);
-    EXPECT_EQ(sweeps[0].name, "fig10a");
-    EXPECT_EQ(sweeps[4].name, "fig14");
+    std::vector<std::string> names;
+    for (const auto &sweep : sweeps)
+        names.push_back(sweep.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"fig10a", "fig10b", "fig11",
+                                               "fig12", "fig13", "fig14",
+                                               "fig15"}));
+    ASSERT_EQ(sweeps.size(), 7u);
 
     const auto jobs = runner::allJobs(sweeps);
     std::vector<std::string> labels;
@@ -294,10 +298,15 @@ TEST(RunnerSweeps, PaperSweepsCoverAllFiguresWithUniqueLabels)
                 labels.end())
         << "duplicate job labels in the paper sweep";
 
+    // Figure 11: the k-NN at T1-T4 x {UFC, SHARP+Strix}.
+    EXPECT_EQ(sweeps[2].jobs.size(), 8u);
     // Figure 13: 3 network counts x 3 scratchpads x 4 CKKS workloads.
-    EXPECT_EQ(sweeps[3].jobs.size(), 36u);
+    EXPECT_EQ(sweeps[4].jobs.size(), 36u);
     // Figure 14: 4 lane counts x 3 scratchpads x 4 CKKS workloads.
-    EXPECT_EQ(sweeps[4].jobs.size(), 48u);
+    EXPECT_EQ(sweeps[5].jobs.size(), 48u);
+    // Figure 15: a PBS batch at T1-T4 x {no packing, CoLP, TvLP}.
+    EXPECT_EQ(sweeps[6].jobs.size(), 12u);
+    EXPECT_EQ(jobs.size(), 150u);
 }
 
 } // namespace
