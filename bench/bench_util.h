@@ -12,6 +12,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 namespace ufc {
 namespace bench {
@@ -34,15 +35,17 @@ footnote(const std::string &text)
 }
 
 /** Numeric option `flag` parsed whole as a T >= lo; any other text
- *  (empty, trailing characters, out of T's range) is a usage error and
- *  exits 2. */
+ *  (empty, trailing characters, out of T's range, a sign on an unsigned
+ *  T, which the stream would wrap) is a usage error and exits 2. */
 template <typename T>
 T
 numArg(const std::string &flag, const char *text, T lo)
 {
     std::istringstream in(text);
     T v{};
-    if (!(in >> v) || !in.eof() || v < lo) {
+    const bool signedText = text[0] == '-' || text[0] == '+';
+    if ((std::is_unsigned_v<T> && signedText) || !(in >> v) || !in.eof() ||
+        v < lo) {
         std::cerr << flag << ": expected a number >= " << lo << ", got '"
                   << text << "'\n";
         std::exit(2);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/error.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
@@ -116,9 +117,9 @@ try {
         else if (arg == "--machine")
             machine = value();
         else if (arg == "--top")
-            top = std::atoi(value());
+            top = bench::numArg(arg, value(), 0);
         else if (arg == "--prefetch-window")
-            prefetchWindow = std::atoi(value());
+            prefetchWindow = bench::numArg(arg, value(), -1);
         else if (arg == "--timeline")
             timelinePath = value();
         else if (arg == "--json")

@@ -26,15 +26,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/error.h"
-#include "common/json.h"
 #include "metrics/metrics.h"
 #include "runner/claims.h"
 #include "runner/report.h"
@@ -151,15 +148,9 @@ usage(const char *argv0)
         "                    satisfy static_lower <= dynamic <=\n"
         "                    static_upper on cycles and HBM bytes; the\n"
         "                    per-job bound ratios are printed after the\n"
-        "                    sweep (incompatible with --ir)\n"
+        "                    sweep\n"
         "  --compare-serial  run parallel then serial, verify identical\n"
         "                    results, report the speedup\n"
-        "  --ir              execute every job on the legacy trace-IR\n"
-        "                    interpreter instead of the bytecode engine\n"
-        "  --compare-ir      run the batch on both engines, verify\n"
-        "                    bit-identical results, report the speedup\n"
-        "  --bench-json PATH with --compare-ir: write the wall-clock\n"
-        "                    comparison as a small JSON record\n"
         "  --progress        per-job status lines on stderr\n"
         "                    (\"[jobs_done/jobs_total] <label> ...\")\n"
         "  --metrics-out PATH  write the metrics registry as Prometheus\n"
@@ -190,9 +181,6 @@ try {
     bool bounds = false;
     bool noPaper = false;
     bool compareSerial = false;
-    bool useIr = false;
-    bool compareIr = false;
-    std::string benchJsonPath;
     std::string metricsOutPath;
     bool noMetrics = false;
     bool list = false;
@@ -237,12 +225,6 @@ try {
             bounds = true;
         else if (arg == "--compare-serial")
             compareSerial = true;
-        else if (arg == "--ir")
-            useIr = true;
-        else if (arg == "--compare-ir")
-            compareIr = true;
-        else if (arg == "--bench-json")
-            benchJsonPath = value();
         else if (arg == "--metrics-out")
             metricsOutPath = value();
         else if (arg == "--no-metrics")
@@ -313,22 +295,9 @@ try {
     if (dataflow)
         for (auto &job : jobs)
             job.options.dataflowLint = true;
-    if (bounds) {
-        if (useIr) {
-            std::fprintf(stderr, "--bounds and --ir are exclusive (no "
-                                 "Program to bound on the IR path)\n");
-            return 2;
-        }
+    if (bounds)
         for (auto &job : jobs)
             job.options.boundsCheck = true;
-    }
-    if (useIr && compareIr) {
-        std::fprintf(stderr, "--ir and --compare-ir are exclusive\n");
-        return 2;
-    }
-    if (useIr)
-        for (auto &job : jobs)
-            job.options.execMode = sim::ExecMode::TraceIr;
     if (jobs.empty()) {
         std::fprintf(stderr, "no jobs selected (--no-paper without "
                              "--trace?)\n");
@@ -411,69 +380,6 @@ try {
                          batch.results[i].label.c_str(),
                          runner::jobStatusName(oc.status), oc.attempts,
                          oc.errorKind.c_str(), oc.message.c_str());
-        }
-    }
-
-    if (compareIr && !interrupted) {
-        // Same batch on the legacy IR interpreter; the bytecode engine
-        // must be bit-identical on every result and strictly faster in
-        // aggregate (the JIT acceptance gate).
-        auto irJobs = jobs;
-        for (auto &job : irJobs)
-            job.options.execMode = sim::ExecMode::TraceIr;
-        const double i0 = now();
-        const auto irBatch = exec.runAll(irJobs);
-        const double irWall = now() - i0;
-        const double speedup = irWall / parallelWall;
-        std::printf("trace-ir sweep: %.2f s wall (bytecode %.2fx "
-                    "faster)\n", irWall, speedup);
-
-        if (batch.results.size() != irBatch.results.size()) {
-            std::fprintf(stderr, "FAIL: result count mismatch\n");
-            return 1;
-        }
-        for (std::size_t i = 0; i < batch.results.size(); ++i) {
-            if (batch.outcomes[i].status != irBatch.outcomes[i].status) {
-                std::fprintf(stderr,
-                             "FAIL: bytecode and trace-ir job status "
-                             "differ at %s\n",
-                             batch.results[i].label.c_str());
-                return 1;
-            }
-            if (batch.outcomes[i].ok() &&
-                !identicalSimulated(batch.results[i],
-                                    irBatch.results[i])) {
-                std::fprintf(stderr,
-                             "FAIL: bytecode and trace-ir results "
-                             "differ at %s\n",
-                             batch.results[i].label.c_str());
-                return 1;
-            }
-        }
-        std::printf("bytecode results are bit-identical to trace-ir.\n");
-
-        if (!benchJsonPath.empty()) {
-            std::ofstream f(benchJsonPath);
-            if (!f) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             benchJsonPath.c_str());
-                return 1;
-            }
-            char buf[64];
-            const auto num = [&buf](double v) -> const char * {
-                std::snprintf(buf, sizeof(buf), "%.3f", v);
-                return buf;
-            };
-            f << "{\n  \"benchmark\": "
-              << json::quote("sweep_all bytecode vs trace-ir") << ",\n"
-              << "  \"jobs\": " << jobs.size() << ",\n"
-              << "  \"threads\": " << threads << ",\n"
-              << "  \"bytecode_wall_seconds\": " << num(parallelWall)
-              << ",\n"
-              << "  \"trace_ir_wall_seconds\": " << num(irWall) << ",\n"
-              << "  \"speedup\": " << num(speedup) << ",\n"
-              << "  \"bit_identical\": true\n}\n";
-            std::printf("wrote %s\n", benchJsonPath.c_str());
         }
     }
 

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/json.h"
@@ -335,25 +336,25 @@ try {
         if (arg == "--socket")
             opt.socketPath = value();
         else if (arg == "--threads")
-            opt.threads = std::atoi(value());
+            opt.threads = bench::numArg(arg, value(), 1);
         else if (arg == "--jobs")
-            opt.jobsPerThread = std::atoi(value());
+            opt.jobsPerThread = bench::numArg(arg, value(), 1);
         else if (arg == "--workload")
             opt.workload = value();
         else if (arg == "--scale")
-            opt.scale = std::atoll(value());
+            opt.scale = bench::numArg<i64>(arg, value(), 0);
         else if (arg == "--machine")
             opt.machine = value();
         else if (arg == "--deadline-ms")
-            opt.deadlineMs = std::atof(value());
+            opt.deadlineMs = bench::numArg(arg, value(), 0.0);
         else if (arg == "--hold-ms")
-            opt.holdMs = std::atoll(value());
+            opt.holdMs = bench::numArg<i64>(arg, value(), 0);
         else if (arg == "--chaos")
             opt.chaos = true;
         else if (arg == "--drain")
             opt.drain = true;
         else if (arg == "--seed")
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = bench::numArg<u64>(arg, value(), 0);
         else if (arg == "--json")
             opt.jsonPath = value();
         else {

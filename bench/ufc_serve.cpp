@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 
+#include "bench_util.h"
 #include "common/error.h"
 #include "metrics/metrics.h"
 #include "runner/report.h"
@@ -61,7 +62,7 @@ usage(const char *argv0)
         "                    under load, tier >= 1)\n"
         "  --program-cache N bound on the compiled-program cache and\n"
         "                    on the generated-trace cache (default 256\n"
-        "                    entries each)\n"
+        "                    entries each; 0 = unbounded)\n"
         "  --retention N     terminal results retained for queries and\n"
         "                    the final report (default 8192)\n"
         "  --report PATH     final ufc.report/v2 envelope on drain\n"
@@ -97,30 +98,29 @@ try {
         if (arg == "--socket")
             cfg.socketPath = value();
         else if (arg == "--workers")
-            cfg.workers = std::atoi(value());
+            cfg.workers = bench::numArg(arg, value(), 1);
         else if (arg == "--queue")
-            cfg.queueCapacity =
-                static_cast<std::size_t>(std::atoll(value()));
+            cfg.queueCapacity = bench::numArg<std::size_t>(arg, value(), 1);
         else if (arg == "--max-conns")
-            cfg.maxConnections = std::atoi(value());
+            cfg.maxConnections = bench::numArg(arg, value(), 1);
         else if (arg == "--deadline-ms")
-            cfg.defaultDeadlineMs = std::atof(value());
+            cfg.defaultDeadlineMs = bench::numArg(arg, value(), 0.0);
         else if (arg == "--retries")
-            cfg.maxRetries = std::atoi(value());
+            cfg.maxRetries = bench::numArg(arg, value(), 0);
         else if (arg == "--retry-backoff-ms")
-            cfg.retryBackoff.baseMs = std::atof(value());
+            cfg.retryBackoff.baseMs = bench::numArg(arg, value(), 0.0);
         else if (arg == "--tenant-burst")
-            cfg.tenantBurst = std::atof(value());
+            cfg.tenantBurst = bench::numArg(arg, value(), 0.0);
         else if (arg == "--tenant-rate")
-            cfg.tenantRatePerSec = std::atof(value());
+            cfg.tenantRatePerSec = bench::numArg(arg, value(), 0.0);
         else if (arg == "--lint")
             cfg.lintPreflight = true;
         else if (arg == "--program-cache")
             cfg.programCacheMaxEntries =
-                static_cast<std::size_t>(std::atoll(value()));
+                bench::numArg<std::size_t>(arg, value(), 0);
         else if (arg == "--retention")
             cfg.resultRetention =
-                static_cast<std::size_t>(std::atoll(value()));
+                bench::numArg<std::size_t>(arg, value(), 1);
         else if (arg == "--report")
             reportPath = value();
         else if (arg == "--metrics-out")

@@ -22,10 +22,11 @@
  *     size, pipeline fill).  recost() evaluates a MachinePerf once per
  *     shape — a few hundred rows — instead of once per record.
  *
- * Bit-exactness contract (enforced by tests/test_bytecode.cpp): executing
- * a Program yields a RunStats bit-identical to feeding the same lowering
- * through the IR CycleEngine — cycles, energy inputs, per-op attribution,
- * stall causes and timeline slices.  Every cost term is a pure function of
+ * Bit-exactness contract (enforced by tests/test_bytecode.cpp and
+ * test_golden.cpp): executing a Program yields a RunStats bit-identical
+ * to feeding the same lowering through the reference trace-IR engine
+ * (AcceleratorModel::runTraceIr) — cycles, energy inputs, per-op
+ * attribution, stall causes and timeline slices.  Every cost term is a pure function of
  * (shape, const machine config), evaluated with the exact expressions the
  * IR engine would use:
  *   - busyLaneCycles  = computeCycles * laneFraction   (same product)

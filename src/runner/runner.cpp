@@ -253,8 +253,7 @@ ProgramCache::run(const sim::AcceleratorModel &model, const Slot &slot,
     if (opts.timeline != nullptr)
         return model.execute(*slot.program, opts);
 
-    const RunKey key{sim::resolvedPrefetchWindow(opts), opts.maxCycles,
-                     opts.verbosity};
+    const RunKey key{sim::resolvedPrefetchWindow(opts), opts.maxCycles};
     RunMemo &memo = *slot.memo;
     {
         std::lock_guard<std::mutex> lock(memo.mu);
@@ -451,81 +450,63 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                             cfg_.jobTimeoutSeconds));
 
             const auto t0 = std::chrono::steady_clock::now();
-            // Bytecode jobs that need the compiled Program in hand
-            // (batch compile sharing, the program-level dataflow rules,
-            // the static cost-bound gate) take the explicit
-            // compile+execute path; for Bytecode mode run() IS
-            // execute(compile()), so results are bit-identical.
-            const bool wantProgram =
-                opts.execMode == sim::ExecMode::Bytecode &&
-                (cache != nullptr || job.options.dataflowLint ||
-                 job.options.boundsCheck);
-            if (wantProgram) {
-                // Bad options fail before paying for a compile, as in
-                // the run() shim; execute() re-validates.
-                sim::validateRunOptions(opts);
-                ProgramCache::Slot slot;
-                if (cache) {
-                    // Lower-once path: sibling jobs share the Program
-                    // (same model) or its body (equal lowering key).
-                    slot = cache->slot(
-                        *job.model, *tr,
-                        key ? *key
-                            : ProgramCache::Key{
-                                  job.model->loweringKey(*tr),
-                                  trace::contentHash(*tr)});
-                } else {
-                    slot.program =
-                        std::make_shared<const compiler::Program>(
-                            job.model->compile(*tr));
-                }
-                const compiler::Program *program = slot.program.get();
-                if (job.options.dataflowLint) {
-                    // Program-level rules on the cached bytecode (the
-                    // trace-level dataflow passes already ran in the
-                    // pre-flight above — no re-lowering).
-                    analysis::DiagnosticReport rep;
-                    compiler::verifyProgram(*program, rep);
-                    analysis::runProgramDataflow(*program, rep);
-                    if (const analysis::Diagnostic *first =
-                            rep.firstError()) {
-                        throw TraceError(
-                            "dataflow lint failed for program '" +
-                            program->workload + "' (" +
-                            std::to_string(rep.errorCount()) +
-                            " error(s)): " + first->format());
-                    }
-                }
-                analysis::CostBounds bounds;
-                if (job.options.boundsCheck)
-                    bounds = analysis::analyzeCostBounds(*program);
-                result = cache ? cache->run(*job.model, slot, opts)
-                               : job.model->execute(*program, opts);
-                if (job.options.boundsCheck) {
-                    outcome.boundsChecked = true;
-                    outcome.cyclesLower = bounds.cyclesLower;
-                    outcome.cyclesUpper = bounds.cyclesUpper;
-                    outcome.hbmLower = bounds.hbmLower;
-                    outcome.hbmUpper = bounds.hbmUpper;
-                    const double cycles = result.stats.totalCycles;
-                    const double hbm = result.stats.hbmBytes;
-                    UFC_EXPECT(cycles >= bounds.cyclesLower &&
-                                   cycles <= bounds.cyclesUpper,
-                               SimError,
-                               "static cycle bound violated for '"
-                                   << label << "': dynamic " << cycles
-                                   << " outside [" << bounds.cyclesLower
-                                   << ", " << bounds.cyclesUpper << "]");
-                    UFC_EXPECT(hbm >= bounds.hbmLower &&
-                                   hbm <= bounds.hbmUpper,
-                               SimError,
-                               "static HBM bound violated for '"
-                                   << label << "': dynamic " << hbm
-                                   << " outside [" << bounds.hbmLower
-                                   << ", " << bounds.hbmUpper << "]");
-                }
+            // Bad options fail before paying for a compile, as in the
+            // run() shim; execute() re-validates.
+            sim::validateRunOptions(opts);
+            ProgramCache::Slot slot;
+            if (cache) {
+                // Lower-once path: sibling jobs share the Program (same
+                // model) or its body (equal lowering key).
+                slot = cache->slot(
+                    *job.model, *tr,
+                    key ? *key
+                        : ProgramCache::Key{job.model->loweringKey(*tr),
+                                            trace::contentHash(*tr)});
             } else {
-                result = job.model->run(*tr, opts);
+                slot.program = std::make_shared<const compiler::Program>(
+                    job.model->compile(*tr));
+            }
+            const compiler::Program *program = slot.program.get();
+            if (job.options.dataflowLint) {
+                // Program-level rules on the cached bytecode (the
+                // trace-level dataflow passes already ran in the
+                // pre-flight above — no re-lowering).
+                analysis::DiagnosticReport rep;
+                compiler::verifyProgram(*program, rep);
+                analysis::runProgramDataflow(*program, rep);
+                if (const analysis::Diagnostic *first = rep.firstError()) {
+                    throw TraceError("dataflow lint failed for program '" +
+                                     program->workload + "' (" +
+                                     std::to_string(rep.errorCount()) +
+                                     " error(s)): " + first->format());
+                }
+            }
+            analysis::CostBounds bounds;
+            if (job.options.boundsCheck)
+                bounds = analysis::analyzeCostBounds(*program);
+            result = cache ? cache->run(*job.model, slot, opts)
+                           : job.model->execute(*program, opts);
+            if (job.options.boundsCheck) {
+                outcome.boundsChecked = true;
+                outcome.cyclesLower = bounds.cyclesLower;
+                outcome.cyclesUpper = bounds.cyclesUpper;
+                outcome.hbmLower = bounds.hbmLower;
+                outcome.hbmUpper = bounds.hbmUpper;
+                const double cycles = result.stats.totalCycles;
+                const double hbm = result.stats.hbmBytes;
+                UFC_EXPECT(cycles >= bounds.cyclesLower &&
+                               cycles <= bounds.cyclesUpper,
+                           SimError,
+                           "static cycle bound violated for '"
+                               << label << "': dynamic " << cycles
+                               << " outside [" << bounds.cyclesLower
+                               << ", " << bounds.cyclesUpper << "]");
+                UFC_EXPECT(hbm >= bounds.hbmLower && hbm <= bounds.hbmUpper,
+                           SimError,
+                           "static HBM bound violated for '"
+                               << label << "': dynamic " << hbm
+                               << " outside [" << bounds.hbmLower << ", "
+                               << bounds.hbmUpper << "]");
             }
             result.hostSeconds = std::chrono::duration<double>(
                                      std::chrono::steady_clock::now() - t0)
@@ -606,9 +587,9 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
         (void)runMemoMetrics();
     }
 
-    // Key every bytecode job with an eager trace up front, hashing each
-    // trace object once; the key feeds the cache lookup, the use count
-    // below and Program::traceHash.  A Program (and its body) is only
+    // Key every job with an eager trace up front, hashing each trace
+    // object once; the key feeds the cache lookup, the use count below
+    // and Program::traceHash.  A Program (and its body) is only
     // worth retaining until the last job with its key has fetched it:
     // the cache drops each key after its counted uses, so a singleton's
     // Program dies with its job — the allocator then recycles those
@@ -624,8 +605,7 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
             uses;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             const Job &job = jobs[i];
-            if (!job.model || !job.trace ||
-                job.options.execMode != sim::ExecMode::Bytecode)
+            if (!job.model || !job.trace)
                 continue;
             const auto [it, fresh] =
                 traceHashes.try_emplace(job.trace.get(), 0);

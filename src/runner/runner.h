@@ -106,13 +106,12 @@ class ProgramCache
     {
         int prefetchWindow = 0; ///< sim::resolvedPrefetchWindow()
         u64 maxCycles = 0;
-        sim::StatsVerbosity verbosity = sim::StatsVerbosity::Full;
 
         bool
         operator==(const RunKey &o) const
         {
             return prefetchWindow == o.prefetchWindow &&
-                   maxCycles == o.maxCycles && verbosity == o.verbosity;
+                   maxCycles == o.maxCycles;
         }
     };
 

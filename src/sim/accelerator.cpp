@@ -9,9 +9,9 @@
  * no function-local statics exist anywhere on this path — so concurrent
  * calls on the same model instance are safe and bit-deterministic.
  *
- * Bit-exactness: the bytecode path (compile + execute) and the reference
- * IR path (runTraceIr) must produce identical RunResults.  Shared helpers
- * keep them aligned: ChipModel::attach() takes a RunStats regardless of
+ * Bit-exactness: the one product path (compile + execute) and the
+ * tests' reference engine (runTraceIr) must produce identical
+ * RunResults.  Shared helpers keep them aligned: ChipModel::attach() takes a RunStats regardless of
  * which engine produced it, admission raises the same error on every
  * path, and ComposedModel routes both paths through the same
  * partition() and combine() arithmetic.
@@ -68,7 +68,6 @@ stamp(RunResult &r, const RunOptions &opts, const std::string &machine,
       const std::string &workload)
 {
     r.label = opts.label;
-    r.verbosity = opts.verbosity;
     r.machine = machine;
     r.workload = workload;
 }
@@ -146,8 +145,6 @@ AcceleratorModel::recost(const compiler::Program &lowered) const
 RunResult
 AcceleratorModel::run(const trace::Trace &tr, const RunOptions &opts) const
 {
-    if (opts.execMode == ExecMode::TraceIr)
-        return runTraceIr(tr, opts);
     // Fail fast on bad options before paying for the compile; execute()
     // re-validates for direct callers.
     validateRunOptions(opts);
@@ -465,16 +462,13 @@ ComposedModel::runTraceIr(const trace::Trace &tr,
     u64 pcieTransfers = 0;
     partition(tr, ckksPart, tfhePart, pcieBytes, pcieTransfers);
 
-    // The sub-calls go through run(), which dispatches on opts.execMode —
-    // TraceIr here, since runTraceIr is only reached through it.
     const RunOptions subOpts = subRunOptions(opts);
-
     RunResult sharpRes;
     if (!ckksPart.ops.empty())
-        sharpRes = sharp_.run(ckksPart, subOpts);
+        sharpRes = sharp_.runTraceIr(ckksPart, subOpts);
     RunResult strixRes;
     if (!tfhePart.ops.empty())
-        strixRes = strix_.run(tfhePart, subOpts);
+        strixRes = strix_.runTraceIr(tfhePart, subOpts);
 
     return combine(sharpRes, strixRes, pcieBytes, pcieTransfers, opts,
                    tr.name);

@@ -29,9 +29,9 @@
  * shares p's body and only carries its own per-shape cost table.
  *
  * `run(trace, opts)` is a convenience shim over compile + execute.
- * With RunOptions::execMode == ExecMode::TraceIr, run() instead takes
- * the reference IR-interpreter path; both paths produce bit-identical
- * results (enforced by the bytecode differential test gate).
+ * Every job runs on that one engine.  `runTraceIr(trace, opts)` is the
+ * reference engine the tests compare it against, bit for bit; nothing
+ * else calls it.
  */
 
 #ifndef UFC_SIM_ACCELERATOR_H
@@ -58,10 +58,10 @@ namespace sim {
  * Common interface for all simulated accelerators.
  *
  * Thread safety: compile(), execute() and run() are const and
- * re-entrant.  Every implementation builds its per-run state
- * (CycleEngine/BytecodeEngine, SpadModel, compiler::Lowering) on the
- * stack and only reads its configuration, so one model instance may
- * simulate many traces concurrently — the batch experiment runner
+ * re-entrant.  Every implementation builds its per-run state (the
+ * engine, its scratchpad, compiler::Lowering) on the stack and only
+ * reads its configuration, so one model instance may simulate many
+ * traces concurrently — the batch experiment runner
  * (src/runner/) relies on this contract.  A compiled Program is
  * immutable and may be executed by any number of threads at once.
  */
@@ -137,10 +137,9 @@ class AcceleratorModel
     }
 
     /**
-     * One-shot convenience: compile(tr) + execute() under the default
-     * ExecMode::Bytecode, or the reference IR interpreter when
-     * opts.execMode == ExecMode::TraceIr.  Callers that execute a trace
-     * more than once should compile() it themselves (or go through the
+     * One-shot convenience: validateRunOptions(opts), then
+     * execute(compile(tr), opts).  Callers that execute a trace more
+     * than once should compile() it themselves (or go through the
      * runner, which caches Programs).
      */
     RunResult run(const trace::Trace &tr, const RunOptions &opts) const;
@@ -151,14 +150,18 @@ class AcceleratorModel
         return run(tr, RunOptions{});
     }
 
-    virtual std::string name() const = 0;
-    virtual double areaMm2() const = 0;
-
-  protected:
-    /** Reference IR-interpreter path behind run(); bit-identical to the
-     *  bytecode path by construction and by test. */
+    /**
+     * The tests' reference engine: lower `tr` straight into the
+     * trace-IR cycle engine (sim/engine.h) with no Program in between.
+     * Bit-identical to run(tr, opts) by construction and by test
+     * (tests/test_bytecode.cpp, and test_golden.cpp on every paper
+     * job); no product path calls it.
+     */
     virtual RunResult runTraceIr(const trace::Trace &tr,
                                  const RunOptions &opts) const = 0;
+
+    virtual std::string name() const = 0;
+    virtual double areaMm2() const = 0;
 };
 
 /**
@@ -192,6 +195,8 @@ class ChipModel : public AcceleratorModel
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;
+    RunResult runTraceIr(const trace::Trace &tr,
+                         const RunOptions &opts) const override;
     std::string name() const override { return name_; }
     double areaMm2() const override { return areaMm2_; }
 
@@ -208,9 +213,6 @@ class ChipModel : public AcceleratorModel
               std::shared_ptr<const MachinePerf> perf,
               const compiler::LoweringOptions &lowering, CostModel cost,
               double areaMm2);
-
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
 
   private:
     /** Throw ConfigError when `op` of trace `header` is not admitted. */
@@ -276,15 +278,13 @@ class ComposedModel : public AcceleratorModel
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;
+    RunResult runTraceIr(const trace::Trace &tr,
+                         const RunOptions &opts) const override;
     std::string name() const override { return "SHARP+Strix"; }
     double areaMm2() const override
     {
         return sharp_.areaMm2() + strix_.areaMm2();
     }
-
-  protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
 
   private:
     /** Scheme partition shared by compile() and runTraceIr() so the

@@ -2,10 +2,11 @@
  * @file
  * Bytecode executor implementation.
  *
- * Every arithmetic statement here mirrors one in CycleEngine::issue() /
- * finish(); when editing, keep the expressions and their evaluation
- * order in lockstep with sim/engine.cpp — the differential tests
- * (tests/test_bytecode.cpp) compare the two paths bit for bit.
+ * Every arithmetic statement here mirrors one in the reference engine's
+ * issue() / finish() (sim/engine.cpp); when editing, keep the
+ * expressions and their evaluation order in lockstep with it — the
+ * differential tests (tests/test_bytecode.cpp, test_golden.cpp) compare
+ * the two engines bit for bit.
  */
 
 #include "sim/bc_engine.h"
@@ -14,6 +15,7 @@
 #include <span>
 
 #include "common/error.h"
+#include "sim/engine.h"
 #include "sim/timeline.h"
 
 namespace ufc {
@@ -62,7 +64,7 @@ double
 BytecodeEngine::spadAccess(const compiler::BcBuf &buf,
                            double &writebackBytes)
 {
-    // Mirrors SpadModel::access() over dense slots: same hit/grow
+    // Mirrors the reference scratchpad's access() over dense slots: same hit/grow
     // arithmetic, same eviction order (tail = least recent), same
     // dirty-victim write-back accounting.
     writebackBytes = 0.0;
@@ -105,7 +107,7 @@ BytecodeEngine::step(const compiler::BcInst &b)
 {
     // Cooperative host-deadline poll, same cadence as the IR engine.
     if (hostDeadline_ != std::chrono::steady_clock::time_point{} &&
-        stats_.instCount % CycleEngine::kDeadlinePollPeriod == 0) {
+        stats_.instCount % kDeadlinePollPeriod == 0) {
         detail::countDeadlinePoll();
         if (std::chrono::steady_clock::now() >= hostDeadline_)
             detail::throwHostDeadline(stats_.instCount, computeClock_);
@@ -328,7 +330,7 @@ BytecodeEngine::run()
         exec<false>();
 
     // totalCycles is defined as the fixed-order per-opcode sum, exactly
-    // as CycleEngine::finish().
+    // as the reference engine's finish().
     double total = 0.0;
     for (const auto &op : stats_.opStats)
         total += op.cycles;

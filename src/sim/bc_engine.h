@@ -3,11 +3,13 @@
  * Bytecode executor: runs a compiled compiler::Program through the exact
  * cycle model of sim/engine.h as a tight dispatch loop.
  *
- * The executor replicates CycleEngine::issue() arithmetic operation for
- * operation — same expressions, same evaluation order, same divisions —
- * over the pre-computed cost-table terms, so its RunStats (and an attached
- * Timeline, and a TimeoutError trip) are bit-identical to the IR
- * interpreter's.  What changes is the cost per instruction:
+ * This is the one engine every model runs a job on.  It replicates the
+ * arithmetic of the reference trace-IR engine (sim/engine.h, kept for
+ * the tests to compare against) operation for operation — same
+ * expressions, same evaluation order, same divisions — over the
+ * pre-computed cost-table terms, so its RunStats (and an attached
+ * Timeline, and a TimeoutError trip) are bit-identical to the
+ * reference's.  What changes is the cost per instruction:
  *   - no virtual cost-model calls (terms come from the Program's
  *     per-machine cost table, indexed by each BcInst's shape id),
  *   - the scratchpad is a dense slot array with an intrusive LRU list
@@ -16,8 +18,8 @@
  *   - fused runs (BcInst::runLen > 1) iterate Stream instructions
  *     without re-dispatching on kind or phase events.
  *
- * Thread safety: like CycleEngine — one engine per run, engines on
- * distinct threads may share one (immutable) Program.
+ * Thread safety: one engine per run; engines on distinct threads may
+ * share one (immutable) Program.
  */
 
 #ifndef UFC_SIM_BC_ENGINE_H
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "compiler/bytecode.h"
-#include "sim/engine.h"
 #include "sim/stats.h"
 
 namespace ufc {
@@ -38,17 +39,30 @@ class Timeline;
 class BytecodeEngine
 {
   public:
+    /// Default bound on how far the memory engine runs ahead of compute;
+    /// RunOptions::prefetchWindow overrides it per run (0 = no lookahead;
+    /// the -1 RunOptions sentinel selects this default before the engine
+    /// is constructed).
+    static constexpr int kDefaultPrefetchWindow = 16;
+    /// Instructions between host-deadline wall-clock polls.
+    static constexpr u64 kDeadlinePollPeriod = 1024;
+
     /** `program` must outlive the engine and must be a single-chip
      *  Program (composed Programs are decomposed by ComposedModel). */
     BytecodeEngine(const compiler::Program *program, int prefetchWindow);
 
-    /** Same observation-only contract as CycleEngine::setTimeline. */
+    /** Attach (or detach with nullptr) an event-stream recorder.  The
+     *  recorder only observes; the schedule and RunStats are identical
+     *  with or without it. */
     void setTimeline(Timeline *timeline) { timeline_ = timeline; }
-    /** Same semantics (and the same TimeoutError diagnostics) as
-     *  CycleEngine::setMaxCycles. */
+    /** Simulated-cycle watchdog: run() throws ufc::TimeoutError (a
+     *  SimError) once the compute clock passes `cycles`.  0 disables
+     *  (the default).  Deterministic: the trip point depends only on
+     *  the Program. */
     void setMaxCycles(u64 cycles) { maxCycles_ = cycles; }
-    /** Same poll cadence (CycleEngine::kDeadlinePollPeriod) and the same
-     *  TimeoutError diagnostics as CycleEngine::setHostDeadline. */
+    /** Cooperative host-side deadline: run() polls the wall clock every
+     *  kDeadlinePollPeriod instructions and throws ufc::TimeoutError
+     *  once it passes.  The default epoch time point disarms it. */
     void
     setHostDeadline(std::chrono::steady_clock::time_point deadline)
     {
@@ -56,14 +70,14 @@ class BytecodeEngine
     }
 
     /** Execute the whole Program and return the finished statistics
-     *  (totalCycles defined as the per-opcode sum, exactly as
-     *  CycleEngine::finish()). */
+     *  (totalCycles defined as the fixed-order per-opcode sum). */
     RunStats run();
 
   private:
     /// Dense-slot scratchpad entry; prev/next form an intrusive LRU
     /// list over resident slots (head = most recent, tail = eviction
-    /// candidate), replicating SpadModel's std::list semantics.
+    /// candidate), replicating the reference scratchpad's std::list
+    /// semantics.
     struct Slot
     {
         double bytes = 0.0;
@@ -95,7 +109,7 @@ class BytecodeEngine
     double computeClock_ = 0.0;
     double memClock_ = 0.0;
 
-    // Prefetch-window ring buffer mirroring CycleEngine's deque: the
+    // Prefetch-window ring buffer mirroring the reference's deque: the
     // deque only ever reads the element `window_` from the back and
     // trims the front beyond 4 * window_, so a fixed ring of that
     // capacity holds every value that can still be observed.

@@ -1,6 +1,7 @@
 /**
  * @file
- * Cycle engine implementation.
+ * Reference cycle engine implementation, plus the watchdog helpers the
+ * bytecode engine shares with it.
  */
 
 #include "sim/engine.h"
@@ -12,6 +13,7 @@
 #include "common/error.h"
 #include "metrics/flight_recorder.h"
 #include "metrics/metrics.h"
+#include "sim/bc_engine.h"
 #include "sim/timeline.h"
 
 namespace ufc {
@@ -147,7 +149,7 @@ CycleEngine::issue(const isa::HwInst &inst)
     // kDeadlinePollPeriod instructions so a hung/runaway job can be
     // cancelled without per-issue syscall cost.
     if (hostDeadline_ != std::chrono::steady_clock::time_point{} &&
-        stats_.instCount % kDeadlinePollPeriod == 0) {
+        stats_.instCount % BytecodeEngine::kDeadlinePollPeriod == 0) {
         detail::countDeadlinePoll();
         if (std::chrono::steady_clock::now() >= hostDeadline_)
             detail::throwHostDeadline(stats_.instCount, computeClock_);

@@ -1,8 +1,13 @@
 /**
  * @file
- * The cycle-level execution engine shared by all accelerator models.
+ * The machine performance interface every model is costed through, and
+ * the reference trace-IR cycle engine.
  *
- * The engine consumes a primitive instruction stream in order and models:
+ * CycleEngine is not on any product path: jobs run on the bytecode
+ * engine (sim/bc_engine.h).  It stays as the reference the tests compare
+ * that engine against, reached only through
+ * AcceleratorModel::runTraceIr().  It consumes a primitive instruction
+ * stream in order and models:
  *   - compute occupancy per resource (throughput supplied by the machine
  *     performance model),
  *   - an in-order memory engine with a bounded prefetch window, so compute
@@ -140,14 +145,10 @@ class SpadModel
 class CycleEngine : public isa::InstSink
 {
   public:
-    /// Default bound on how far the memory engine runs ahead of compute;
-    /// RunOptions::prefetchWindow overrides it per run (0 = no lookahead;
-    /// the -1 RunOptions sentinel selects this default before the engine
-    /// is constructed).
-    static constexpr int kDefaultPrefetchWindow = 16;
-
-    CycleEngine(const MachinePerf *perf,
-                int prefetchWindow = kDefaultPrefetchWindow);
+    /** `prefetchWindow` bounds how far the memory engine runs ahead of
+     *  compute (0 = no lookahead); the product default is
+     *  BytecodeEngine::kDefaultPrefetchWindow. */
+    CycleEngine(const MachinePerf *perf, int prefetchWindow);
 
     /** Attach (or detach with nullptr) an event-stream recorder.  The
      *  recorder only observes; the schedule and RunStats are identical
@@ -161,17 +162,14 @@ class CycleEngine : public isa::InstSink
     void setMaxCycles(u64 cycles) { maxCycles_ = cycles; }
 
     /** Cooperative host-side deadline: issue() polls the wall clock
-     *  every kDeadlinePollPeriod instructions (a cheap poll point) and
-     *  throws ufc::TimeoutError once it passes.  The default epoch
-     *  time point disarms the check. */
+     *  every BytecodeEngine::kDeadlinePollPeriod instructions (a cheap
+     *  poll point) and throws ufc::TimeoutError once it passes.  The
+     *  default epoch time point disarms the check. */
     void
     setHostDeadline(std::chrono::steady_clock::time_point deadline)
     {
         hostDeadline_ = deadline;
     }
-
-    /// Instructions between host-deadline wall-clock polls.
-    static constexpr u64 kDeadlinePollPeriod = 1024;
 
     void issue(const isa::HwInst &inst) override;
 

@@ -14,7 +14,7 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "sim/engine.h"
+#include "sim/bc_engine.h"
 
 namespace ufc {
 namespace sim {
@@ -29,10 +29,6 @@ validateRunOptions(const RunOptions &opts)
     UFC_EXPECT(opts.prefetchWindow <= (1 << 20), ConfigError,
                "RunOptions.prefetchWindow is absurdly large: "
                    << opts.prefetchWindow);
-    UFC_EXPECT(!(opts.boundsCheck && opts.execMode == ExecMode::TraceIr),
-               ConfigError,
-               "RunOptions.boundsCheck needs a compiled Program to "
-               "bound; it is incompatible with ExecMode::TraceIr");
 }
 
 int
@@ -41,7 +37,7 @@ resolvedPrefetchWindow(const RunOptions &opts)
     // -1 is the "model default" sentinel; 0 is an explicit request for a
     // no-lookahead memory engine.
     return opts.prefetchWindow >= 0 ? opts.prefetchWindow
-                                    : CycleEngine::kDefaultPrefetchWindow;
+                                    : BytecodeEngine::kDefaultPrefetchWindow;
 }
 
 namespace {

@@ -65,22 +65,6 @@ enum class StatsVerbosity
 };
 
 /**
- * Which execution engine a run() call uses.  Both paths produce
- * bit-identical RunResults (a differential test gate enforces it); the
- * choice only affects host-side speed and is exposed so the differential
- * tests and `sweep_all --ir` can pin the legacy interpreter.
- */
-enum class ExecMode
-{
-    /// Compile the trace to a bytecode Program once, then execute it on
-    /// the tight-loop engine (sim/bc_engine.h).  The default.
-    Bytecode,
-    /// Legacy path: re-interpret the trace IR through compiler::Lowering
-    /// feeding the CycleEngine directly.
-    TraceIr,
-};
-
-/**
  * Per-run options accepted by every AcceleratorModel::run() overload.
  * Thread safety: a RunOptions value is read-only during a run, so one
  * instance may be shared across concurrent runs — unless `timeline` is
@@ -89,13 +73,8 @@ enum class ExecMode
  */
 struct RunOptions
 {
-    /// Execution engine selection (see ExecMode).  Applies to run();
-    /// compile()/execute() are inherently bytecode.
-    ExecMode execMode = ExecMode::Bytecode;
-    /// Governs what toJson()/toCsvRow() emit for this run.
-    StatsVerbosity verbosity = StatsVerbosity::Full;
     /// Prefetch-window override for the cycle engine's memory engine;
-    /// -1 keeps the model's default (CycleEngine::kDefaultPrefetchWindow),
+    /// -1 keeps the default (BytecodeEngine::kDefaultPrefetchWindow),
     /// 0 requests no memory lookahead (fetch starts only when the
     /// instruction reaches the head of the compute engine).
     int prefetchWindow = -1;
@@ -129,17 +108,16 @@ struct RunOptions
     /// Opt-in dataflow pre-flight: like lintTraces but running the full
     /// abstract-interpretation layer (analysis::Analyzer::
     /// analyzeDataflow over the trace AND the compiled Program's df-*
-    /// program rules).  Bytecode jobs reuse the batch's cached Program
-    /// for the program-level rules, so the pre-flight adds no second
+    /// program rules).  Jobs reuse the batch's cached Program for the
+    /// program-level rules, so the pre-flight adds no second
     /// lowering.  Never changes a passing run's results.
     bool dataflowLint = false;
     /// Opt-in static cost-bound gate: the experiment runner computes
     /// analysis::analyzeCostBounds on the compiled Program before
     /// executing and fails the job with SimError unless
     /// lower <= dynamic <= upper holds for both total cycles and HBM
-    /// bytes afterwards.  Bytecode mode only (validateRunOptions
-    /// rejects TraceIr: there is no Program to bound).  The check is
-    /// host-side; results of passing runs are bit-identical.
+    /// bytes afterwards.  The check is host-side; results of passing
+    /// runs are bit-identical.
     bool boundsCheck = false;
 };
 
@@ -153,7 +131,7 @@ struct RunOptions
 void validateRunOptions(const RunOptions &opts);
 
 /** The prefetch window a run of `opts` executes with: the -1 sentinel
- *  resolved to CycleEngine::kDefaultPrefetchWindow. */
+ *  resolved to BytecodeEngine::kDefaultPrefetchWindow. */
 int resolvedPrefetchWindow(const RunOptions &opts);
 
 /** Per-opcode attribution row (one per isa::HwOp). */
@@ -292,7 +270,8 @@ struct RunResult
     /// experiment runner, never by the models (it is the one field that
     /// is not deterministic run-to-run).
     double hostSeconds = 0.0;
-    /// Captured from RunOptions at run time; governs export detail.
+    /// Governs export detail; models always return Full, and a caller
+    /// that wants the compact export sets Compact on the result.
     StatsVerbosity verbosity = StatsVerbosity::Full;
 
     double edp() const { return energyJ * seconds; }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential gate for the trace-to-bytecode JIT: the compiled-Program
- * path (compile + execute on sim::BytecodeEngine) must be bit-identical
- * to the legacy trace-IR interpreter (compiler::Lowering feeding
+ * path (compile + execute on sim::BytecodeEngine), the only engine a job
+ * runs on, must be bit-identical to the reference trace-IR engine
+ * (AcceleratorModel::runTraceIr: compiler::Lowering feeding
  * sim::CycleEngine) on every observable — cycles, energy, per-opcode
  * attribution, stall causes, timeline slices, and typed-error
  * diagnostics — across the builtin workloads, the malformed/lint
@@ -33,22 +34,14 @@ namespace ufc {
 namespace sim {
 namespace {
 
-RunOptions
-irOptions(const RunOptions &base = RunOptions{})
-{
-    RunOptions opts = base;
-    opts.execMode = ExecMode::TraceIr;
-    return opts;
-}
-
-/** Both paths on one (model, trace, options) point must agree on the
+/** Both engines on one (model, trace, options) point must agree on the
  *  full serialized result. */
 void
 expectBitIdentical(const AcceleratorModel &model, const trace::Trace &tr,
                    const RunOptions &opts = RunOptions{})
 {
     const RunResult bc = model.run(tr, opts);
-    const RunResult ir = model.run(tr, irOptions(opts));
+    const RunResult ir = model.runTraceIr(tr, opts);
     EXPECT_EQ(bc.toJson(), ir.toJson())
         << model.name() << " on " << tr.name;
 }
@@ -134,8 +127,7 @@ TEST(BytecodeDifferential, TimelineSlicesMatchIrBitExact)
         Timeline irTl;
         RunOptions irOpts;
         irOpts.timeline = &irTl;
-        irOpts.execMode = ExecMode::TraceIr;
-        const RunResult ir = model->run(tr, irOpts);
+        const RunResult ir = model->runTraceIr(tr, irOpts);
 
         EXPECT_EQ(bc.toJson(), ir.toJson());
         ASSERT_EQ(bcTl.slices().size(), irTl.slices().size())
@@ -173,7 +165,7 @@ TEST(BytecodeDifferential, MaxCyclesTripsIdenticallyMidProgram)
     }
     std::string irWhat;
     try {
-        model.run(tr, irOptions(opts));
+        model.runTraceIr(tr, opts);
         FAIL() << "IR watchdog did not trip";
     } catch (const TimeoutError &e) {
         irWhat = e.what();
@@ -190,7 +182,7 @@ TEST(BytecodeDifferential, RunOptionsValidationParity)
     RunOptions bad;
     bad.prefetchWindow = -5;
     EXPECT_THROW(model.run(tr, bad), ConfigError);
-    EXPECT_THROW(model.run(tr, irOptions(bad)), ConfigError);
+    EXPECT_THROW(model.runTraceIr(tr, bad), ConfigError);
     EXPECT_THROW(model.execute(model.compile(tr), bad), ConfigError);
 }
 
@@ -208,16 +200,15 @@ configErrorOf(Fn &&fn)
 }
 
 /** A chip fed a trace of a scheme it does not admit rejects it with the
- *  same ConfigError message on every path: bytecode run(), trace-IR
- *  run(), compile(), compileStream() and a runner batch job. */
+ *  same ConfigError message on every path: run(), the reference
+ *  runTraceIr(), compile(), compileStream() and a runner batch job. */
 void
 expectRejectedEverywhere(const std::shared_ptr<const AcceleratorModel> &model,
                          const trace::Trace &tr, const std::string &expected)
 {
     SCOPED_TRACE(model->name() + " on " + tr.name);
     EXPECT_EQ(expected, configErrorOf([&] { model->run(tr); }));
-    EXPECT_EQ(expected,
-              configErrorOf([&] { model->run(tr, irOptions()); }));
+    EXPECT_EQ(expected, configErrorOf([&] { model->runTraceIr(tr, {}); }));
     EXPECT_EQ(expected, configErrorOf([&] { model->compile(tr); }));
     std::stringstream text;
     trace::writeTrace(tr, text);
@@ -248,7 +239,7 @@ TEST(BytecodeDifferential, SchemeRejectionParity)
             ckks.name + "' contains non-TFHE ops");
 }
 
-/** Run both modes on a parsed trace; returns true when the outcomes
+/** Run both engines on a parsed trace; returns true when the outcomes
  *  (success JSON or typed-error kind+message) are identical.  A
  *  maxCycles net bounds hostile inputs — tripping it identically on
  *  both paths is itself the parity being asserted. */
@@ -257,17 +248,16 @@ outcomesMatch(const AcceleratorModel &model, const trace::Trace &tr)
 {
     RunOptions base;
     base.maxCycles = 100000000; // hostile-input safety net
-    std::string bcOut;
-    std::string irOut;
-    auto runOne = [&](const RunOptions &opts, std::string &out) {
+    const auto outcome = [](const auto &run) -> std::string {
         try {
-            out = "ok:" + model.run(tr, opts).toJson();
+            return "ok:" + run().toJson();
         } catch (const Error &e) {
-            out = std::string("error:") + e.kind() + ":" + e.what();
+            return std::string("error:") + e.kind() + ":" + e.what();
         }
     };
-    runOne(base, bcOut);
-    runOne(irOptions(base), irOut);
+    const std::string bcOut = outcome([&] { return model.run(tr, base); });
+    const std::string irOut =
+        outcome([&] { return model.runTraceIr(tr, base); });
     if (bcOut == irOut)
         return testing::AssertionSuccess();
     return testing::AssertionFailure()
@@ -431,15 +421,12 @@ TEST(BytecodeProgram, RunnerBatchMatchesIrBatch)
         job.trace = tr;
         job.options.prefetchWindow = window;
         jobs.push_back(job);
-        job.label = "ir/w" + std::to_string(window);
-        job.options.execMode = ExecMode::TraceIr;
-        jobs.push_back(job);
     }
     const auto batch = runner::ExperimentRunner().runAll(jobs);
     ASSERT_TRUE(batch.allOk());
-    for (size_t i = 0; i < jobs.size(); i += 2) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
         auto bc = batch.results[i];
-        auto ir = batch.results[i + 1];
+        auto ir = model->runTraceIr(*tr, jobs[i].options);
         // Normalize the per-job fields that legitimately differ.
         ir.label = bc.label;
         ir.hostSeconds = bc.hostSeconds = 0.0;
@@ -620,8 +607,7 @@ TEST(BytecodeLoops, LoopedTimelineSlicesMatchIrBitExact)
     Timeline irTl;
     RunOptions irOpts;
     irOpts.timeline = &irTl;
-    irOpts.execMode = ExecMode::TraceIr;
-    const RunResult ir = model.run(tr, irOpts);
+    const RunResult ir = model.runTraceIr(tr, irOpts);
 
     EXPECT_EQ(bc.toJson(), ir.toJson());
     ASSERT_EQ(bcTl.slices().size(), irTl.slices().size());
@@ -652,7 +638,7 @@ TEST(BytecodeLoops, MaxCyclesTripsIdenticallyInsideLoop)
     }
     std::string irWhat;
     try {
-        model.run(tr, irOptions(opts));
+        model.runTraceIr(tr, opts);
         FAIL() << "IR watchdog did not trip";
     } catch (const TimeoutError &e) {
         irWhat = e.what();

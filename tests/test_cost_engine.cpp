@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "math/primes.h"
 #include "sim/accelerator.h"
+#include "sim/bc_engine.h"
 #include "workloads/workloads.h"
 
 namespace ufc {
@@ -93,7 +94,7 @@ TEST(CycleEngine, PrefetchWindowBoundsMemoryRunahead)
 TEST(CycleEngine, StreamingOperandsChargeEveryUse)
 {
     UfcPerf perf{UfcConfig::tableII()};
-    CycleEngine engine(&perf);
+    CycleEngine engine(&perf, BytecodeEngine::kDefaultPrefetchWindow);
     isa::HwInst inst;
     inst.op = isa::HwOp::Ewmm;
     inst.words = 1024;
@@ -112,7 +113,7 @@ TEST(CycleEngine, StreamingOperandsChargeEveryUse)
 TEST(CycleEngine, CachedOperandsChargeOnce)
 {
     UfcPerf perf{UfcConfig::tableII()};
-    CycleEngine engine(&perf);
+    CycleEngine engine(&perf, BytecodeEngine::kDefaultPrefetchWindow);
     isa::HwInst inst;
     inst.op = isa::HwOp::Ewmm;
     inst.words = 1024;

@@ -678,14 +678,6 @@ TEST(DataflowRunner, DataflowLintPreflightFailsOnlyTheBadJob)
         << batch.outcomes[1].message;
 }
 
-TEST(DataflowRunner, BoundsCheckRejectsTraceIrModeUpFront)
-{
-    sim::RunOptions opts;
-    opts.boundsCheck = true;
-    opts.execMode = sim::ExecMode::TraceIr;
-    EXPECT_THROW(sim::validateRunOptions(opts), ConfigError);
-}
-
 // ---------------------------------------------------------------------
 // Committed df-* fixture corpus: each file flags exactly its rule id.
 

@@ -8,7 +8,12 @@
  *  - the paper claims (runner/claims.h): every band holds, and the
  *    rendered table equals the block EXPERIMENTS.md embeds between its
  *    paper-claims markers;
- *  - the claims reproduce perfbench's paper_err.
+ *  - the claims reproduce perfbench's paper_err;
+ *  - the reference engine: every job re-run through
+ *    AcceleratorModel::runTraceIr gives the batch's result bit for bit,
+ *    so the one product engine, the runner's ProgramCache and the DSE
+ *    points it re-costs all agree with an independent per-machine
+ *    lowering.
  *
  * Each line holds the job label, then total cycles, HBM bytes, energy
  * and the per-opcode cycles as hex floats, so any change to a simulated
@@ -32,6 +37,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
+#include "common/parallel.h"
 #include "runner/claims.h"
 #include "runner/runner.h"
 #include "runner/sweeps.h"
@@ -146,6 +153,38 @@ TEST(Golden, PaperSweepMatchesDigest)
         msg << "golden line '" << golden[first] << "' has no job";
     msg << ".  Actual digest written to " << out;
     FAIL() << msg.str();
+}
+
+TEST(Golden, PaperSweepMatchesReferenceEngine)
+{
+    const std::vector<runner::Job> &jobs = paperRun().jobs;
+    const runner::BatchResult &batch = paperRun().batch;
+    ASSERT_EQ(batch.results.size(), jobs.size());
+    ASSERT_TRUE(batch.allOk());
+
+    // parallelFor does not carry exceptions, so each job's outcome is
+    // captured as text: the result JSON, or the error it threw.
+    std::vector<std::string> reference(jobs.size());
+    ThreadPool pool(runner::ExperimentRunner().effectiveThreads(jobs.size()));
+    pool.parallelFor(jobs.size(), [&](std::size_t i) {
+        const runner::Job &job = jobs[i];
+        try {
+            sim::RunResult ir =
+                job.model->runTraceIr(*job.trace, job.options);
+            // Normalize the per-job fields the runner fills in.
+            ir.label = batch.results[i].label;
+            reference[i] = ir.toJson();
+        } catch (const Error &e) {
+            reference[i] = std::string("error: ") + e.kind() + ": " +
+                           e.what();
+        }
+    });
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        sim::RunResult bc = batch.results[i];
+        bc.hostSeconds = 0.0;
+        EXPECT_EQ(bc.toJson(), reference[i]) << jobs[i].label;
+    }
 }
 
 TEST(Golden, PaperClaimsHoldTheirBands)

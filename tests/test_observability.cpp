@@ -18,6 +18,7 @@
 #include "metrics/metrics.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
+#include "sim/bc_engine.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
 #include "trace/serialize.h"
@@ -476,7 +477,8 @@ TEST(Observability, PrefetchWindowZeroIsExplicitNotDefault)
     const RunResult def = model.run(tr, defOpts);
 
     RunOptions defExplicit;
-    defExplicit.prefetchWindow = sim::CycleEngine::kDefaultPrefetchWindow;
+    defExplicit.prefetchWindow =
+        sim::BytecodeEngine::kDefaultPrefetchWindow;
     const RunResult defExp = model.run(tr, defExplicit);
     EXPECT_EQ(def.stats.totalCycles, defExp.stats.totalCycles);
 

@@ -20,6 +20,7 @@
 #include "compiler/bytecode.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
+#include "sim/bc_engine.h"
 #include "sim/timeline.h"
 #include "sim/ufc_perf.h"
 #include "workloads/workloads.h"
@@ -243,21 +244,20 @@ TEST(ProgramCacheGaps, RunMemoKeysOnResultChangingOptions)
 
     // The -1 sentinel and the default window it resolves to are one key.
     sim::RunOptions explicitWindow;
-    explicitWindow.prefetchWindow = sim::CycleEngine::kDefaultPrefetchWindow;
+    explicitWindow.prefetchWindow =
+        sim::BytecodeEngine::kDefaultPrefetchWindow;
     EXPECT_EQ(f.cache.run(f.model, f.slot, explicitWindow).toJson(),
               base.toJson());
     EXPECT_EQ(f.cache.runHits(), 1u);
 
-    // A different window, watchdog budget or verbosity misses; each
-    // result matches a direct execution under the same options.
+    // A different window or watchdog budget misses; each result
+    // matches a direct execution under the same options.
     sim::RunOptions window0;
     window0.prefetchWindow = 0;
     sim::RunOptions budget;
     budget.maxCycles = u64(1) << 60; // never trips: same numbers
-    sim::RunOptions compact;
-    compact.verbosity = sim::StatsVerbosity::Compact;
     u64 misses = f.cache.runMisses();
-    for (const sim::RunOptions &opts : {window0, budget, compact}) {
+    for (const sim::RunOptions &opts : {window0, budget}) {
         const sim::RunResult r = f.cache.run(f.model, f.slot, opts);
         EXPECT_EQ(f.cache.runMisses(), ++misses);
         EXPECT_EQ(r.toJson(), f.model.execute(*f.slot.program, opts).toJson());
@@ -269,7 +269,7 @@ TEST(ProgramCacheGaps, RunMemoKeysOnResultChangingOptions)
     // A client may vary maxCycles without end: past kMaxRunsPerProgram
     // keys the oldest (the default run) is dropped and runs again.
     sim::RunOptions more;
-    for (std::size_t k = 4; k <= ProgramCache::kMaxRunsPerProgram; ++k) {
+    for (std::size_t k = 3; k <= ProgramCache::kMaxRunsPerProgram; ++k) {
         more.maxCycles = (u64(1) << 60) + k;
         (void)f.cache.run(f.model, f.slot, more);
     }

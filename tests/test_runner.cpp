@@ -198,9 +198,10 @@ TEST(Runner, RunOptionsLabelAndVerbosityArePropagated)
 
     RunOptions opts;
     opts.label = "my-run";
-    opts.verbosity = sim::StatsVerbosity::Compact;
-    const auto r = model.run(tr, opts);
+    auto r = model.run(tr, opts);
     EXPECT_EQ(r.label, "my-run");
+    EXPECT_EQ(r.verbosity, sim::StatsVerbosity::Full);
+    r.verbosity = sim::StatsVerbosity::Compact;
 
     // Compact results omit the raw-counter block from both formats.
     EXPECT_EQ(r.toJson().find("\"stats\""), std::string::npos);
@@ -215,9 +216,8 @@ TEST(RunnerReport, CsvRowsMatchHeaderArity)
     const auto tr = workloads::pbsThroughput(tp, 16);
     const sim::UfcModel model;
     const auto full = model.run(tr);
-    RunOptions compactOpts;
-    compactOpts.verbosity = sim::StatsVerbosity::Compact;
-    const auto compact = model.run(tr, compactOpts);
+    auto compact = full;
+    compact.verbosity = sim::StatsVerbosity::Compact;
 
     const auto commas = [](const std::string &s) {
         return std::count(s.begin(), s.end(), ',');

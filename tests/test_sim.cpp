@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "sim/accelerator.h"
+#include "sim/bc_engine.h"
 #include "workloads/workloads.h"
 
 namespace ufc {
@@ -50,7 +51,7 @@ TEST(SpadModel, TransientBuffersNeverTouchDram)
 TEST(CycleEngine, ComputeBoundStreamSaturatesCompute)
 {
     UfcPerf perf{UfcConfig::tableII()};
-    CycleEngine engine(&perf);
+    CycleEngine engine(&perf, BytecodeEngine::kDefaultPrefetchWindow);
     // 100 full-width EW ops with no memory traffic; each runs 1000
     // cycles so the fixed pipeline-fill overhead stays small.
     for (int i = 0; i < 100; ++i) {
@@ -71,7 +72,7 @@ TEST(CycleEngine, ComputeBoundStreamSaturatesCompute)
 TEST(CycleEngine, MemoryBoundStreamSaturatesHbm)
 {
     UfcPerf perf{UfcConfig::tableII()};
-    CycleEngine engine(&perf);
+    CycleEngine engine(&perf, BytecodeEngine::kDefaultPrefetchWindow);
     for (int i = 0; i < 100; ++i) {
         isa::HwInst inst;
         inst.op = isa::HwOp::Ewma;
