@@ -2,7 +2,10 @@
  * @file
  * Microbenchmarks for the FHE substrate: CKKS primitives (encode,
  * encrypt, multiply, rotate, rescale, hybrid key switching) and TFHE
- * primitives (external product, blind rotation, gate bootstrap).
+ * primitives (external product, blind rotation, LWE key switch, gate and
+ * programmable bootstrap).  A gate bootstrap is one blind rotation, one
+ * sample extraction and one LWE key switch, so the two layer benches
+ * split its time.
  */
 
 #include <benchmark/benchmark.h>
@@ -121,6 +124,8 @@ struct TfheBench
         rlwe = tfhe::rlweEncrypt(msg, ringKey, params.rlweSigma, rng);
         bitA = tfhe::encryptBit(true, lweKey, params, rng);
         bitB = tfhe::encryptBit(false, lweKey, params, rng);
+        testVector = bc.makeTestVector({0, 1, 1, 0}, 4);
+        extracted = tfhe::sampleExtract(bc.blindRotate(bitA, testVector));
     }
 
     tfhe::TfheParams params;
@@ -133,6 +138,8 @@ struct TfheBench
     tfhe::RgswCiphertext rgsw;
     tfhe::RlweCiphertext rlwe;
     tfhe::LweCiphertext bitA, bitB;
+    Poly testVector;
+    tfhe::LweCiphertext extracted; ///< dimension N, under the ring key
 };
 
 TfheBench &
@@ -148,6 +155,26 @@ BM_TfheExternalProduct(benchmark::State &state)
     auto &b = tfheBench();
     for (auto _ : state) {
         auto ct = tfhe::externalProduct(b.rgsw, b.rlwe, b.gadget);
+        benchmark::DoNotOptimize(&ct);
+    }
+}
+
+void
+BM_TfheBlindRotate(benchmark::State &state)
+{
+    auto &b = tfheBench();
+    for (auto _ : state) {
+        auto acc = b.bc.blindRotate(b.bitA, b.testVector);
+        benchmark::DoNotOptimize(&acc);
+    }
+}
+
+void
+BM_TfheLweKeySwitch(benchmark::State &state)
+{
+    auto &b = tfheBench();
+    for (auto _ : state) {
+        auto ct = b.bc.keySwitch(b.extracted);
         benchmark::DoNotOptimize(&ct);
     }
 }
@@ -186,6 +213,8 @@ BENCHMARK(BM_CkksMultiplyRelin);
 BENCHMARK(BM_CkksRescale);
 BENCHMARK(BM_CkksRotate);
 BENCHMARK(BM_TfheExternalProduct);
+BENCHMARK(BM_TfheBlindRotate);
+BENCHMARK(BM_TfheLweKeySwitch);
 BENCHMARK(BM_TfheGateBootstrap);
 BENCHMARK(BM_TfheProgrammableBootstrap);
 

@@ -136,10 +136,9 @@ main()
     Gadget packGadget(tparams.q, 8, 3);
     switching::RingPacker packer(packRingKey, packGadget, tparams.rlweSigma,
                                  rng);
-    switching::LweSwitchKey toPackKey(tfheKey, packer.inputLweKey(),
-                                      tparams.q, tparams.ksLogBase,
-                                      tparams.ksLevels, tparams.lweSigma,
-                                      rng);
+    tfhe::LweSwitchKey toPackKey(tfheKey, packer.inputLweKey(), tparams.q,
+                                 tparams.ksLogBase, tparams.ksLevels,
+                                 tparams.lweSigma, rng);
 
     std::vector<tfhe::LweCiphertext> packInputs;
     for (auto &bit : oneHot) {

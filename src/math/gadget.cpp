@@ -6,14 +6,21 @@
 #include "math/gadget.h"
 
 #include "common/check.h"
+#include "common/error.h"
 
 namespace ufc {
 
 Gadget::Gadget(u64 q, int logBase, int levels)
     : mod_(q), logBase_(logBase), levels_(levels)
 {
-    UFC_CHECK(logBase >= 1 && levels >= 1, "bad gadget parameters");
-    UFC_CHECK(logBase * levels <= 62, "gadget precision too large");
+    UFC_EXPECT(logBase >= 1 && levels >= 1 && logBase * levels < 64,
+               ConfigError, "bad gadget parameters");
+    const u128 scaled = static_cast<u128>(q - 1) << (logBase * levels);
+    UFC_EXPECT(base() <= q && scaled + q / 2 < (static_cast<u128>(1) << 64),
+               ConfigError,
+               "gadget too wide: (q-1)*B^l + q/2 must stay below 2^64 (q="
+                   << q << ", B=2^" << logBase << ", l=" << levels << ")");
+    recip_ = static_cast<u64>((static_cast<u128>(1) << 64) / q);
     g_.resize(levels);
     // g_i = round(q / B^(i+1)), computed as scaled division.
     for (int i = 0; i < levels; ++i) {
@@ -24,35 +31,53 @@ Gadget::Gadget(u64 q, int logBase, int levels)
 }
 
 void
-Gadget::decompose(u64 x, u64 *digits) const
+Gadget::decompose(const u64 *x, std::size_t count, u64 *digits) const
 {
     const u64 q = mod_.value();
-    const u64 b = base();
-    const u64 halfB = b >> 1;
+    const u64 mask = base() - 1;
+    const u64 halfB = base() >> 1;
     const int total = logBase_ * levels_;
 
-    // Scale x to a fixed-point value with logBase*levels fractional bits of
-    // q: xHat = round(x * B^l / q).
-    u128 num = (static_cast<u128>(x) << total) + q / 2;
-    u64 xHat = static_cast<u64>(num / q);
+    // Scale each x to a fixed-point value with logBase*levels fractional
+    // bits of q: xHat = round(x * B^l / q) = floor(num / q).  num fits a
+    // word (constructor), and with recip = floor(2^64/q) the estimate
+    // floor(num * recip / 2^64) undershoots the quotient by at most one.
+    // xHat lands in the row of the least significant digit, l - 1.
+    u64 *row = digits + static_cast<std::size_t>(levels_ - 1) * count;
+    for (std::size_t c = 0; c < count; ++c) {
+        const u64 num = (x[c] << total) + q / 2;
+        u64 xHat = static_cast<u64>((static_cast<u128>(num) * recip_) >> 64);
+        xHat += num - xHat * q >= q;
+        row[c] = xHat;
+    }
 
-    // Extract balanced digits least-significant first with carry
-    // propagation; digit k (LSB side) pairs with g_{l-1-k}.
-    u64 carry = 0;
-    for (int k = 0; k < levels_; ++k) {
-        const u64 d = (xHat & (b - 1)) + carry;
-        xHat >>= logBase_;
-        if (d >= halfB) {
-            // Balanced: digits in [B/2, B] represent d - B, carry one up.
-            digits[levels_ - 1 - k] = mod_.sub(0, b - d);
-            carry = 1;
-        } else {
-            digits[levels_ - 1 - k] = mod_.reduce(d);
-            carry = 0;
+    // Peel balanced digits off least-significant first, one row at a
+    // time: each pass reads the remaining value y from its own row,
+    // writes the digit there and passes y >> logBase plus the carry to
+    // the next row up.  A digit d >= B/2 stands for d - B, carries one
+    // and is stored as q - (B - d) (B <= q keeps it in range); whatever
+    // carries out of the top digit is a multiple of q up to the rounding
+    // error the gadget tolerates, and is dropped.
+    const u64 negBias = q - mask - 1;
+    const auto balanced = [&](u64 d, u64 carry) {
+        const u64 pick = 0 - carry;
+        return ((negBias + d) & pick) | (d & ~pick);
+    };
+    for (int i = levels_ - 1; i > 0; --i) {
+        u64 *cur = digits + static_cast<std::size_t>(i) * count;
+        u64 *next = cur - count;
+        for (std::size_t c = 0; c < count; ++c) {
+            const u64 y = cur[c];
+            const u64 d = y & mask;
+            const u64 carry = (d + halfB) >> logBase_; // 1 iff d >= B/2
+            cur[c] = balanced(d, carry);
+            next[c] = (y >> logBase_) + carry;
         }
     }
-    // A final carry folds into nothing: it corresponds to a multiple of q
-    // (up to the rounding error the gadget tolerates).
+    for (std::size_t c = 0; c < count; ++c) {
+        const u64 d = digits[c] & mask;
+        digits[c] = balanced(d, (d + halfB) >> logBase_);
+    }
 }
 
 u64

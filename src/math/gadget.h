@@ -11,6 +11,7 @@
 #ifndef UFC_MATH_GADGET_H
 #define UFC_MATH_GADGET_H
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
@@ -26,6 +27,9 @@ class Gadget
      * @param q       ciphertext modulus
      * @param logBase log2 of the decomposition base B
      * @param levels  number of digits l
+     *
+     * Throws ConfigError unless B <= q and (q-1)*B^l + q/2 < 2^64, the
+     * range in which decompose() scales x without a 128-bit division.
      */
     Gadget(u64 q, int logBase, int levels);
 
@@ -37,11 +41,14 @@ class Gadget
     u64 g(int i) const { return g_[i]; }
 
     /**
-     * Decompose x in [0, q) into `levels` balanced digits d_i (returned
-     * mod q) with sum_i d_i * g_i ≈ x; the approximation error is at most
-     * g_{l-1}/2 in absolute value.
+     * Decompose each x[c] in [0, q), c < count, into `levels` balanced
+     * digits d_i (returned mod q) with sum_i d_i * g_i ≈ x[c]; the
+     * approximation error is at most g_{l-1}/2 in absolute value.  Digit
+     * i of x[c] is written to digits[i * count + c], so a polynomial
+     * decomposes straight into l digit polynomials and a single value
+     * (count 1) into l consecutive words.
      */
-    void decompose(u64 x, u64 *digits) const;
+    void decompose(const u64 *x, std::size_t count, u64 *digits) const;
 
     /** Recompose digits back; useful for tests. */
     u64 recompose(const u64 *digits) const;
@@ -50,6 +57,7 @@ class Gadget
     Modulus mod_;
     int logBase_ = 0;
     int levels_ = 0;
+    u64 recip_ = 0; ///< floor(2^64 / q)
     std::vector<u64> g_;
 };
 

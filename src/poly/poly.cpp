@@ -98,30 +98,59 @@ Poly::automorphism(u64 k) const
     return out;
 }
 
+namespace {
+
+/**
+ * Call f(i, e, negate) for every coefficient index i of a degree-n
+ * polynomial, where X^r * X^i = (-1)^negate * X^e in Z[X]/(X^n + 1).
+ */
+template <typename F>
+void
+forEachRotated(u64 n, i64 r, F f)
+{
+    const i64 twoN = static_cast<i64>(2 * n);
+    i64 rr = r % twoN;
+    if (rr < 0)
+        rr += twoN;
+    // Rotating by n + s is rotating by s and negating; the indices that
+    // wrap past X^n flip the sign once more.
+    const bool flip = static_cast<u64>(rr) >= n;
+    const u64 s = flip ? static_cast<u64>(rr) - n : static_cast<u64>(rr);
+    for (u64 i = 0; i < n - s; ++i)
+        f(i, i + s, flip);
+    for (u64 i = n - s; i < n; ++i)
+        f(i, i + s - n, !flip);
+}
+
+} // namespace
+
 Poly
 Poly::mulByMonomial(i64 r) const
 {
     UFC_CHECK(form_ == PolyForm::Coeff,
               "monomial rotation requires Coeff form");
-    const i64 twoN = static_cast<i64>(2 * degree());
-    i64 rr = r % twoN;
-    if (rr < 0)
-        rr += twoN;
-    const u64 n = degree();
     const u64 q = modulus();
     Poly out(table_, form_);
-    for (u64 i = 0; i < n; ++i) {
-        u64 e = i + static_cast<u64>(rr);
-        bool negate = false;
-        if (e >= 2 * n)
-            e -= 2 * n;
-        if (e >= n) {
-            e -= n;
-            negate = true;
-        }
+    forEachRotated(degree(), r, [&](u64 i, u64 e, bool negate) {
         out.coeffs_[e] = negate ? negMod(coeffs_[i], q) : coeffs_[i];
-    }
+    });
     return out;
+}
+
+void
+Poly::mulByMonomialMinusOne(i64 r, Poly &out) const
+{
+    UFC_CHECK(form_ == PolyForm::Coeff,
+              "monomial rotation requires Coeff form");
+    UFC_CHECK(&out != this, "rotate-and-subtract cannot run in place");
+    out.table_ = table_;
+    out.form_ = PolyForm::Coeff;
+    out.coeffs_.resize(degree());
+    const u64 q = modulus();
+    forEachRotated(degree(), r, [&](u64 i, u64 e, bool negate) {
+        const u64 rotated = negate ? negMod(coeffs_[i], q) : coeffs_[i];
+        out.coeffs_[e] = subMod(rotated, coeffs_[e], q);
+    });
 }
 
 void

@@ -101,6 +101,13 @@ class Poly
      */
     Poly mulByMonomial(i64 r) const;
 
+    /**
+     * out = (X^r - 1) * this in one pass, into a caller-owned polynomial
+     * of the same ring (resized if needed) — the rotate-and-subtract of
+     * blind rotation.  Coefficient form only.
+     */
+    void mulByMonomialMinusOne(i64 r, Poly &out) const;
+
     /** Fill with uniform random values in [0, q). */
     void sampleUniform(Rng &rng);
     /** Fill with ternary {-1,0,1} values (coefficient form). */

@@ -31,8 +31,8 @@ class RingPacker
   public:
     /**
      * @param ringKey   the target ring key (the LWE inputs must already be
-     *                  under its coefficient vector; use LweSwitchKey to
-     *                  get there)
+     *                  under its coefficient vector; use
+     *                  tfhe::LweSwitchKey to get there)
      * @param gadget    decomposition for the automorphism key switches
      * @param sigma     key-encryption noise
      */

@@ -85,7 +85,7 @@ CkksToTfheBridge::CkksToTfheBridge(const ckks::CkksContext &ctx,
     // Dimension/key switch runs after the modulus switch, so the source
     // key (CKKS ternary coefficients) is encoded mod q_tfhe.
     const LweSecretKey src = ternaryKeyMod(ctx, ckksSk, tfheParams.q);
-    dimSwitch_ = std::make_unique<LweSwitchKey>(
+    dimSwitch_ = std::make_unique<tfhe::LweSwitchKey>(
         src, tfheKey, tfheParams.q, tfheParams.ksLogBase,
         tfheParams.ksLevels, tfheParams.lweSigma, rng);
 }

@@ -13,8 +13,10 @@
 #ifndef UFC_SWITCHING_SCHEME_SWITCH_H
 #define UFC_SWITCHING_SCHEME_SWITCH_H
 
+#include <memory>
+
 #include "ckks/keys.h"
-#include "switching/lwe_switch.h"
+#include "tfhe/lwe_switch.h"
 
 namespace ufc {
 namespace switching {
@@ -53,7 +55,7 @@ class CkksToTfheBridge
 
   private:
     const ckks::CkksContext *ctx_;
-    std::unique_ptr<LweSwitchKey> dimSwitch_;
+    std::unique_ptr<tfhe::LweSwitchKey> dimSwitch_;
     u64 tfheQ_;
 };
 

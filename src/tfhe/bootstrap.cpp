@@ -10,40 +10,42 @@
 namespace ufc {
 namespace tfhe {
 
+namespace {
+
+/** RGSW(s_i) under the ring key for every bit of the small key. */
+std::vector<RgswCiphertext>
+makeBootstrapKeys(const TfheParams &params, const LweSecretKey &lweKey,
+                  const RlweSecretKey &ringKey, const Gadget &gadget,
+                  Rng &rng)
+{
+    const NttTable *table = ringKey.s.table();
+    UFC_CHECK(table->modulus().value() == params.q &&
+              table->degree() == params.ringDim,
+              "ring key parameters mismatch");
+    std::vector<RgswCiphertext> btk;
+    btk.reserve(params.lweDim);
+    Poly bit(table, PolyForm::Coeff);
+    for (u32 i = 0; i < params.lweDim; ++i) {
+        bit[0] = lweKey.s[i];
+        btk.push_back(
+            rgswEncrypt(bit, ringKey, gadget, params.rlweSigma, rng));
+    }
+    return btk;
+}
+
+} // namespace
+
 BootstrapContext::BootstrapContext(const TfheParams &params,
                                    const LweSecretKey &lweKey,
                                    const RlweSecretKey &ringKey, Rng &rng)
     : params_(params),
       ringTable_(ringKey.s.table()),
-      gadget_(std::make_unique<Gadget>(params.q, params.gadgetLogBase,
-                                       params.gadgetLevels))
-{
-    UFC_CHECK(ringTable_->modulus().value() == params.q &&
-              ringTable_->degree() == params.ringDim,
-              "ring key parameters mismatch");
-
-    // Bootstrapping keys: RGSW(s_i) for every bit of the small key.
-    btk_.reserve(params.lweDim);
-    Poly bit(ringKey.s.table(), PolyForm::Coeff);
-    for (u32 i = 0; i < params.lweDim; ++i) {
-        bit[0] = lweKey.s[i];
-        btk_.push_back(
-            rgswEncrypt(bit, ringKey, *gadget_, params.rlweSigma, rng));
-    }
-
-    // Key switching key: encrypt each extracted-key coefficient times each
-    // gadget element under the small key.
-    ksk_.gadget = std::make_unique<Gadget>(params.q, params.ksLogBase,
-                                           params.ksLevels);
-    ksk_.ksk.resize(params.ringDim);
-    for (u32 i = 0; i < params.ringDim; ++i) {
-        ksk_.ksk[i].reserve(params.ksLevels);
-        for (int j = 0; j < params.ksLevels; ++j) {
-            const u64 m = mulMod(ringKey.s[i], ksk_.gadget->g(j), params.q);
-            ksk_.ksk[i].push_back(lweEncrypt(m, lweKey, params, rng));
-        }
-    }
-}
+      gadget_(params.q, params.gadgetLogBase, params.gadgetLevels),
+      btk_(makeBootstrapKeys(params, lweKey, ringKey, gadget_, rng)),
+      // Extraction yields an LWE under the ring key's coefficients.
+      ksk_(LweSecretKey{ringKey.s.data()}, lweKey, params.q,
+           params.ksLogBase, params.ksLevels, params.lweSigma, rng)
+{}
 
 RlweCiphertext
 BootstrapContext::blindRotate(const LweCiphertext &ct,
@@ -52,16 +54,21 @@ BootstrapContext::blindRotate(const LweCiphertext &ct,
     const u64 n2 = 2ULL * params_.ringDim;
     const LweCiphertext small = ct.modSwitch(n2);
 
-    // acc = (0, tv * X^(-b~)); each iteration conditionally multiplies by
-    // X^(a~_i) when s_i = 1 via CMux with the RGSW key bit.
+    // acc = (0, tv * X^(-b~)); each iteration multiplies it by X^(a~_i)
+    // when s_i = 1: acc += RGSW(s_i) ⊡ ((X^(a~_i) - 1) * acc).
     RlweCiphertext acc = RlweCiphertext::trivial(
         testVector.mulByMonomial(-static_cast<i64>(small.b)));
+    RlweCiphertext rotated, product;
+    std::vector<u64> digits;
+    const Poly *in[] = {&rotated.a, &rotated.b};
     for (u32 i = 0; i < params_.lweDim; ++i) {
         if (small.a[i] == 0)
             continue;
-        RlweCiphertext rotated =
-            acc.mulByMonomial(static_cast<i64>(small.a[i]));
-        acc = cmux(btk_[i], acc, rotated, *gadget_);
+        const i64 r = static_cast<i64>(small.a[i]);
+        acc.a.mulByMonomialMinusOne(r, rotated.a);
+        acc.b.mulByMonomialMinusOne(r, rotated.b);
+        gadgetProduct(in, btk_[i].rows.data(), gadget_, digits, product);
+        acc.addInPlace(product);
     }
     return acc;
 }
@@ -70,25 +77,7 @@ LweCiphertext
 BootstrapContext::keySwitch(const LweCiphertext &ct) const
 {
     UFC_CHECK(ct.dim() == params_.ringDim, "key switch input dimension");
-    const u64 q = params_.q;
-    const Gadget &g = *ksk_.gadget;
-
-    LweCiphertext out = LweCiphertext::trivial(ct.b, params_.lweDim, q);
-    std::vector<u64> digits(g.levels());
-    for (u32 i = 0; i < params_.ringDim; ++i) {
-        if (ct.a[i] == 0)
-            continue;
-        g.decompose(ct.a[i], digits.data());
-        for (int j = 0; j < g.levels(); ++j) {
-            if (digits[j] == 0)
-                continue;
-            // out -= d_{i,j} * ksk[i][j]
-            LweCiphertext term = ksk_.ksk[i][j];
-            term.scaleInPlace(digits[j]);
-            out.subInPlace(term);
-        }
-    }
-    return out;
+    return ksk_.apply(ct);
 }
 
 Poly

@@ -11,23 +11,14 @@
 #ifndef UFC_TFHE_BOOTSTRAP_H
 #define UFC_TFHE_BOOTSTRAP_H
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "poly/rns_poly.h"
+#include "tfhe/lwe_switch.h"
 #include "tfhe/rlwe.h"
 
 namespace ufc {
 namespace tfhe {
-
-/** LWE-to-LWE key switching key (paper Section II-C3). */
-struct KeySwitchKey
-{
-    /** ksk[i][j] encrypts s'_i * g_j under the target key. */
-    std::vector<std::vector<LweCiphertext>> ksk;
-    std::unique_ptr<Gadget> gadget;
-};
 
 /** Everything needed to bootstrap: RGSW keys, key switch key, tables. */
 class BootstrapContext
@@ -43,12 +34,14 @@ class BootstrapContext
 
     const TfheParams &params() const { return params_; }
     const NttTable *ringTable() const { return ringTable_; }
-    const Gadget &gadget() const { return *gadget_; }
+    const Gadget &gadget() const { return gadget_; }
 
     /**
      * Blind rotation: homomorphically computes testVector * X^(-phase')
      * where phase' is the mod-switched phase of `ct`.  Returns the RLWE
-     * accumulator.
+     * accumulator.  Each step is acc += BK_i ⊡ ((X^(a_i) - 1) * acc) on
+     * one workspace allocated per call, so concurrent calls on a shared
+     * context stay independent.
      */
     RlweCiphertext blindRotate(const LweCiphertext &ct,
                                const Poly &testVector) const;
@@ -81,9 +74,10 @@ class BootstrapContext
   private:
     TfheParams params_;
     const NttTable *ringTable_;
-    std::unique_ptr<Gadget> gadget_;
+    Gadget gadget_;
     std::vector<RgswCiphertext> btk_; ///< one RGSW per small-key bit
-    KeySwitchKey ksk_;
+    /** Extracted ring key (dimension N) -> small key. */
+    LweSwitchKey ksk_;
 };
 
 } // namespace tfhe

@@ -14,15 +14,15 @@ RlweKeySwitchKey::RlweKeySwitchKey(const Poly &srcKey,
                                    const RlweSecretKey &dstKey,
                                    const Gadget &gadget, double sigma,
                                    Rng &rng)
-    : gadget_(std::make_unique<Gadget>(gadget))
+    : gadget_(gadget)
 {
     UFC_CHECK(srcKey.form() == PolyForm::Coeff,
               "source key must be in Coeff form");
-    const int l = gadget_->levels();
+    const int l = gadget_.levels();
     rows_.reserve(l);
     for (int i = 0; i < l; ++i) {
         Poly m = srcKey;
-        m.scaleInPlace(gadget_->g(i));
+        m.scaleInPlace(gadget_.g(i));
         RlweCiphertext row = rlweEncrypt(m, dstKey, sigma, rng);
         row.toEval();
         rows_.push_back(std::move(row));
@@ -35,37 +35,14 @@ RlweKeySwitchKey::apply(const RlweCiphertext &ct) const
     // phase = b - a*srcKey.  Decompose a, accumulate against the rows:
     //   b' = b - sum_i d_i * kb_i,  a' = -sum_i d_i * ka_i
     // so that b' - a'*dstKey = phase - sum_i d_i * e_i.
-    RlweCiphertext in = ct;
-    in.toCoeff();
-    const NttTable *table = in.b.table();
-    const u64 n = in.b.degree();
-    const int l = gadget_->levels();
-
-    std::vector<Poly> digits;
-    digits.reserve(l);
-    for (int i = 0; i < l; ++i)
-        digits.emplace_back(table, PolyForm::Coeff);
-    std::vector<u64> d(l);
-    for (u64 c = 0; c < n; ++c) {
-        gadget_->decompose(in.a[c], d.data());
-        for (int i = 0; i < l; ++i)
-            digits[i][c] = d[i];
-    }
-
+    RlweCiphertext out = ct;
+    out.toCoeff();
+    const Poly *in[] = {&out.a};
+    std::vector<u64> digits;
     RlweCiphertext acc;
-    acc.a = Poly(table, PolyForm::Eval);
-    acc.b = Poly(table, PolyForm::Eval);
-    for (int i = 0; i < l; ++i) {
-        digits[i].toEval();
-        acc.a.fmaEval(digits[i], rows_[i].a);
-        acc.b.fmaEval(digits[i], rows_[i].b);
-    }
-    acc.toCoeff();
-
-    RlweCiphertext out;
-    out.a = acc.a;
+    gadgetProduct(in, rows_.data(), gadget_, digits, acc);
+    out.a = std::move(acc.a);
     out.a.negInPlace();
-    out.b = in.b;
     out.b.subInPlace(acc.b);
     return out;
 }

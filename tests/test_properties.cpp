@@ -40,7 +40,7 @@ TEST_P(GadgetSweep, RecomposeErrorWithinBound)
                       static_cast<u64>(levels) * (g.base() / 4) + 1;
     for (int i = 0; i < 500; ++i) {
         const u64 x = rng.uniform(q);
-        g.decompose(x, digits.data());
+        g.decompose(&x, 1, digits.data());
         const u64 back = g.recompose(digits.data());
         const u64 err =
             std::min(subMod(back, x, q), subMod(x, back, q));

@@ -62,7 +62,7 @@ TEST_F(SwitchFixture, LweSwitchKeyChangesKeyAndDimension)
     Rng r(5);
     tfhe::LweSecretKey big = tfhe::LweSecretKey::generate(1024, r);
     tfhe::LweSecretKey small = tfhe::LweSecretKey::generate(256, r);
-    LweSwitchKey ks(big, small, q, 4, 6, 3.2, r);
+    tfhe::LweSwitchKey ks(big, small, q, 4, 6, 3.2, r);
 
     const u64 t = 16;
     for (u64 m = 0; m < 8; ++m) {

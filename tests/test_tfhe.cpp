@@ -70,7 +70,7 @@ TEST_F(TfheFixture, GadgetDecompositionRecomposesWithinError)
     const u64 halfB = g.base() / 2;
     for (int i = 0; i < 2000; ++i) {
         const u64 x = r.uniform(params.q);
-        g.decompose(x, digits.data());
+        g.decompose(&x, 1, digits.data());
         // Digits are balanced: each represents a value in [-B/2, B/2].
         for (u64 d : digits) {
             const u64 mag = std::min(d, params.q - d);
