@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -34,20 +35,23 @@ footnote(const std::string &text)
     std::printf("note: %s\n", text.c_str());
 }
 
-/** Numeric option `flag` parsed whole as a T >= lo; any other text
- *  (empty, trailing characters, out of T's range, a sign on an unsigned
+/** Numeric option `flag` parsed whole as a T in [lo, hi]; any other
+ *  text (empty, trailing characters, out of range, a sign on an unsigned
  *  T, which the stream would wrap) is a usage error and exits 2. */
 template <typename T>
 T
-numArg(const std::string &flag, const char *text, T lo)
+numArg(const std::string &flag, const char *text, T lo,
+       T hi = std::numeric_limits<T>::max())
 {
     std::istringstream in(text);
     T v{};
     const bool signedText = text[0] == '-' || text[0] == '+';
     if ((std::is_unsigned_v<T> && signedText) || !(in >> v) || !in.eof() ||
-        v < lo) {
-        std::cerr << flag << ": expected a number >= " << lo << ", got '"
-                  << text << "'\n";
+        v < lo || v > hi) {
+        std::cerr << flag << ": expected a number >= " << lo;
+        if (hi != std::numeric_limits<T>::max())
+            std::cerr << " and <= " << hi;
+        std::cerr << ", got '" << text << "'\n";
         std::exit(2);
     }
     return v;

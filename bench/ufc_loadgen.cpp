@@ -43,6 +43,7 @@
 #include "common/fault.h"
 #include "common/json.h"
 #include "serve/client.h"
+#include "serve/server.h"
 #include "tfhe/params.h"
 #include "trace/serialize.h"
 #include "workloads/workloads.h"
@@ -299,7 +300,8 @@ usage(const char *argv0)
     std::printf(
         "usage: %s --socket PATH [options]\n"
         "  --socket PATH     daemon socket (required)\n"
-        "  --threads T       client threads (default 4)\n"
+        "  --threads T       client threads, one connection each\n"
+        "                    (default 4, at most %d)\n"
         "  --jobs M          jobs per thread (default 8)\n"
         "  --workload W      pbs|tfhe_nn|helr|bootstrap|resnet20|\n"
         "                    sorting|knn (default pbs)\n"
@@ -314,7 +316,7 @@ usage(const char *argv0)
         "\n"
         "exit status: 0 zero leaked jobs and healthy daemon, 1 failure,\n"
         "2 usage\n",
-        argv0);
+        argv0, serve::kMaxConnections);
 }
 
 } // namespace
@@ -336,7 +338,8 @@ try {
         if (arg == "--socket")
             opt.socketPath = value();
         else if (arg == "--threads")
-            opt.threads = bench::numArg(arg, value(), 1);
+            opt.threads =
+                bench::numArg(arg, value(), 1, serve::kMaxConnections);
         else if (arg == "--jobs")
             opt.jobsPerThread = bench::numArg(arg, value(), 1);
         else if (arg == "--workload")

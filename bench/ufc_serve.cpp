@@ -48,9 +48,11 @@ usage(const char *argv0)
     std::printf(
         "usage: %s --socket PATH [options]\n"
         "  --socket PATH     AF_UNIX socket to listen on (required)\n"
-        "  --workers N       job-executor threads (default 2)\n"
+        "  --workers N       job-executor threads (default 2, at most\n"
+        "                    %d)\n"
         "  --queue N         admission queue capacity (default 64)\n"
-        "  --max-conns N     concurrent connections (default 64)\n"
+        "  --max-conns N     concurrent connections (default 64, at\n"
+        "                    most %d)\n"
         "  --deadline-ms D   default per-request deadline incl. queue\n"
         "                    wait (default 0 = none)\n"
         "  --retries N       default retry budget per job (default 0)\n"
@@ -72,7 +74,7 @@ usage(const char *argv0)
         "                    default here)\n"
         "\n"
         "exit status: 0 clean drain, 1 startup failure, 2 usage\n",
-        argv0);
+        argv0, serve::kMaxWorkers, serve::kMaxConnections);
 }
 
 } // namespace
@@ -98,11 +100,13 @@ try {
         if (arg == "--socket")
             cfg.socketPath = value();
         else if (arg == "--workers")
-            cfg.workers = bench::numArg(arg, value(), 1);
+            cfg.workers =
+                bench::numArg(arg, value(), 1, serve::kMaxWorkers);
         else if (arg == "--queue")
             cfg.queueCapacity = bench::numArg<std::size_t>(arg, value(), 1);
         else if (arg == "--max-conns")
-            cfg.maxConnections = bench::numArg(arg, value(), 1);
+            cfg.maxConnections =
+                bench::numArg(arg, value(), 1, serve::kMaxConnections);
         else if (arg == "--deadline-ms")
             cfg.defaultDeadlineMs = bench::numArg(arg, value(), 0.0);
         else if (arg == "--retries")

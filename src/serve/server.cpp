@@ -233,8 +233,15 @@ struct Server::JobRecord
 Server::Server(const ServeConfig &cfg)
     : cfg_(cfg), programCache_(cfg.programCacheMaxEntries)
 {
-    UFC_EXPECT(cfg_.workers >= 1, ConfigError,
-               "ufc_serve needs at least one worker thread");
+    UFC_EXPECT(cfg_.workers >= 1 && cfg_.workers <= kMaxWorkers,
+               ConfigError,
+               "ufc_serve needs 1 to " << kMaxWorkers
+                                       << " worker threads, got "
+                                       << cfg_.workers);
+    UFC_EXPECT(cfg_.maxConnections <= kMaxConnections, ConfigError,
+               "ufc_serve accepts at most " << kMaxConnections
+                                            << " connections, got "
+                                            << cfg_.maxConnections);
     UFC_EXPECT(cfg_.queueCapacity >= 1, ConfigError,
                "ufc_serve needs a queue capacity of at least 1");
     for (const char *machine : sim::kModelNames)

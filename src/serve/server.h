@@ -72,19 +72,28 @@
 namespace ufc {
 namespace serve {
 
+/// Upper bounds on ServeConfig::workers and ServeConfig::maxConnections:
+/// the daemon starts one thread per worker and one per admitted
+/// connection, so a mistyped count must fail instead of asking the OS
+/// for that many threads.
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxConnections = 1024;
+
 /** Daemon knobs (all have serving-ready defaults except socketPath). */
 struct ServeConfig
 {
     /// Filesystem path of the AF_UNIX listening socket (required; a
     /// stale file at the path is unlinked before bind).
     std::string socketPath;
-    /// Job-executor threads (the true process concurrency).
+    /// Job-executor threads (the true process concurrency), at most
+    /// kMaxWorkers.
     int workers = 2;
     /// Admission queue bound; submissions beyond it are shed.
     std::size_t queueCapacity = 64;
     /// Cap on one frame's payload, both directions.
     u32 maxFrameBytes = kDefaultMaxFrameBytes;
-    /// Concurrent connections; excess gets an overload response.
+    /// Concurrent connections, at most kMaxConnections; excess gets an
+    /// overload response.
     int maxConnections = 64;
     /// Default extra attempts for failed jobs (a submit may lower it).
     int maxRetries = 0;
