@@ -92,12 +92,6 @@ ruleRegistry()
          "unbalanced phase markers in the instruction stream"},
         // Bytecode-level rules (compiler::verifyProgram, run over the
         // Program that the same one-pass lowering emits).
-        {"bc-fuse-cached-operand", Severity::Error,
-         "fused run contains a Mem instruction (cached operands mutate "
-         "scratchpad state and may not be fused)"},
-        {"bc-fuse-phase-span", Severity::Error,
-         "fused run overruns the instruction stream or spans a phase "
-         "marker / loop edge"},
         {"bc-loop-invariant", Severity::Error,
          "folded repeat loop is degenerate, out of bounds, overlapping, "
          "scratchpad-dependent, or contains a phase marker"},
@@ -114,9 +108,6 @@ ruleRegistry()
         {"df-scale-mismatch", Severity::Warning,
          "ciphertext add at a level whose rescaled-value and product "
          "supplies are both exhausted (linear-consumption heuristic)"},
-        {"df-fuse-memdep", Severity::Error,
-         "fused run carries a scratchpad operand record (re-proved from "
-         "BcBuf records, independent of the fusion pass's kind tags)"},
         {"df-loop-memdep", Severity::Error,
          "folded loop body carries a scratchpad operand record "
          "(re-proved from BcBuf records)"},
@@ -506,7 +497,7 @@ Analyzer::analyzeLowered(const Trace &tr,
     // compileTrace() composes the VerifyingSink in front of its
     // ProgramBuilder (via LoweringOptions::lint), and the emitted
     // Program is then checked against the bytecode-level rules
-    // (bc-fuse-*).  The reference machine is the paper's Table II UFC
+    // (bc-loop-invariant).  The reference machine is the paper's Table II UFC
     // configuration — instruction legality is machine-independent, the
     // perf model only prices the cost terms.
     DiagnosticReport lowered;

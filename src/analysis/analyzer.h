@@ -105,7 +105,7 @@ class Analyzer
      * sits in the runner's ProgramCache.  Unlike the LoweringOptions
      * overload this cannot run the instruction-level VerifyingSink
      * rules (they need a live lowering); the bytecode rules subsume
-     * the fusion/loop legality checks.
+     * the loop legality checks.
      */
     DiagnosticReport
     analyzeLowered(const trace::Trace &tr,
@@ -123,8 +123,8 @@ class Analyzer
     /**
      * Full dataflow verification of a compiled trace: analyzeDataflow
      * plus the bytecode rules (verifyProgram) plus the program-level
-     * dataflow rules (df-fuse-memdep, df-loop-memdep, df-slot-*) over
-     * `program`.  No re-lowering.
+     * dataflow rules (df-loop-memdep, df-slot-*) over `program`.  No
+     * re-lowering.
      */
     DiagnosticReport
     analyzeDataflow(const trace::Trace &tr,

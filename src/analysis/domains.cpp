@@ -385,39 +385,16 @@ reportBc(DiagnosticReport &out, const compiler::Program &p,
 }
 
 /**
- * Re-prove fusion / loop-folding legality from the operand records
- * alone: a fused run or folded loop body must be free of scratchpad
- * accesses, because replaying it assumes LRU-independent memory
- * behaviour.  Independent of verifyProgram's bc-fuse-* rules, which
- * trust the BcKind tag the fusion pass itself wrote.
+ * Re-prove loop-folding legality from the operand records alone: a
+ * folded loop body must be free of scratchpad accesses, because
+ * replaying it assumes LRU-independent memory behaviour.  Independent
+ * of verifyProgram's bc-loop-invariant rule, which trusts the BcKind
+ * tag the builder itself wrote.
  */
 void
 checkReplayPurity(const compiler::Program &p,
                   const std::vector<char> &cached, DiagnosticReport &out)
 {
-    for (u64 i = 0; i < p.code.size();) {
-        const u16 runLen = p.code[i].runLen;
-        if (runLen > 1) {
-            const u64 end = std::min<u64>(i + runLen, p.code.size());
-            for (u64 j = i; j < end; ++j) {
-                if (cached[j]) {
-                    std::ostringstream os;
-                    os << "fused run [" << i << ", " << end
-                       << ") contains a scratchpad operand at "
-                          "instruction "
-                       << j;
-                    reportBc(out, p, "df-fuse-memdep", j, os.str(),
-                             "iterating the run would replay an "
-                             "LRU-dependent access; exclude the "
-                             "instruction from fusion");
-                    break;
-                }
-            }
-            i = end;
-        } else {
-            ++i;
-        }
-    }
     for (const compiler::BcLoop &lp : p.loops) {
         if (lp.bodyLen == 0 || lp.end > p.code.size() ||
             lp.bodyLen > lp.end)

@@ -15,10 +15,9 @@
  *                           unrescaled products per level
  *
  *   Program-level (runProgramDataflow, over compiled bytecode):
- *     df-fuse-memdep / df-loop-memdep — independent re-proof of the
- *         fusion and loop-folding legality PR-6 relies on, derived from
- *         the BcBuf operand records alone (not the BcKind tag the
- *         fusion pass itself wrote)
+ *     df-loop-memdep — independent re-proof of the loop-folding
+ *         legality the executor relies on, derived from the BcBuf
+ *         operand records alone (not the BcKind tag the builder wrote)
  *     df-slot-use-before-def / df-slot-dead-store / df-spad-overcommit
  *         — def-use/liveness over scratchpad slots via
  *         compiler::slotAccesses()
@@ -61,10 +60,9 @@ std::vector<std::unique_ptr<Pass>> makeDataflowPasses();
 
 /**
  * Program-level dataflow rules over a compiled Program (composed
- * Programs recurse into their parts).  Appends df-fuse-memdep,
- * df-loop-memdep and the df-slot-* findings to `out`.  Diagnostics
- * carry the instruction index in opIndex and the innermost bytecode
- * phase name.
+ * Programs recurse into their parts).  Appends df-loop-memdep and the
+ * df-slot-* findings to `out`.  Diagnostics carry the instruction index
+ * in opIndex and the innermost bytecode phase name.
  */
 void runProgramDataflow(const compiler::Program &p, DiagnosticReport &out);
 

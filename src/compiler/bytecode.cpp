@@ -1,7 +1,7 @@
 /**
  * @file
  * Bytecode compiler implementation: ProgramBuilder (an InstSink), the
- * fusion pass, the fused-op legality verifier and the disassembler.
+ * loop-invariant verifier and the disassembler.
  */
 
 #include "compiler/bytecode.h"
@@ -66,18 +66,6 @@ resetPeakLivePrograms()
 {
     gPeakLivePrograms.store(gLivePrograms.load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
-}
-
-const char *
-fuseKindName(FuseKind kind)
-{
-    switch (kind) {
-      case FuseKind::None: return "none";
-      case FuseKind::KeySwitch: return "key_switch";
-      case FuseKind::BlindRotate: return "blind_rotate";
-      case FuseKind::Generic: return "generic";
-    }
-    return "unknown";
 }
 
 ProgramBuilder::ProgramBuilder(Program *out)
@@ -289,86 +277,17 @@ ProgramBuilder::finish()
         return;
     finished_ = true;
     out_->spadSlots = static_cast<u32>(slots_.size());
-    fuse();
-}
-
-namespace {
-
-/** Innermost fusion context: "key_switch"/"blind_rotate" anywhere on the
- *  open-phase stack wins over the generic tag. */
-FuseKind
-classifyRun(const std::vector<i32> &stack,
-            const SharedArray<std::string> &names)
-{
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        const std::string &name = names[static_cast<size_t>(*it)];
-        if (name == "key_switch")
-            return FuseKind::KeySwitch;
-        if (name == "blind_rotate")
-            return FuseKind::BlindRotate;
-    }
-    return FuseKind::Generic;
-}
-
-} // namespace
-
-void
-ProgramBuilder::fuse()
-{
-    auto &code = code_;
-    const auto &events = events_;
-
-    // boundary[i] == a phase marker fires immediately before inst i, or
-    // a folded loop starts/ends there (the executor's loop-back check
-    // fires between instructions, so a fused run must not straddle it).
-    std::vector<u8> boundary(code.size() + 1, 0);
-    for (const auto &ev : events)
-        boundary[static_cast<size_t>(ev.inst)] = 1;
-    for (const auto &lp : out_->loops) {
-        boundary[static_cast<size_t>(lp.end)] = 1;
-        boundary[static_cast<size_t>(lp.end - lp.bodyLen)] = 1;
-    }
-
-    // Replay the phase events alongside the scan so each run head knows
-    // its enclosing phase (fusion context tag).
-    std::vector<i32> stack;
-    size_t ev = 0;
-    size_t i = 0;
-    while (i < code.size()) {
-        while (ev < events.size() && events[ev].inst == i) {
-            if (events[ev].name == PhaseEvent::kEnd) {
-                if (!stack.empty())
-                    stack.pop_back();
-            } else {
-                stack.push_back(events[ev].name);
-            }
-            ++ev;
-        }
-        if (code[i].kind != BcKind::Stream) {
-            ++i;
-            continue;
-        }
-        // Maximal run of Stream insts with no interior phase marker.
-        size_t j = i + 1;
-        while (j < code.size() && code[j].kind == BcKind::Stream &&
-               !boundary[j] && (j - i) < 0xffff)
-            ++j;
-        if (j - i >= 2) {
-            code[i].runLen = static_cast<u16>(j - i);
-            code[i].fuse = classifyRun(stack, out_->phaseNames);
-            ++out_->fusedRuns;
-            out_->fusedInsts += j - i;
-        }
-        i = j; // no events strictly inside (i, j) by construction
-    }
 }
 
 namespace {
 
 /** Sizing pre-pass: counts the records the real lowering will emit so
- *  the body's vectors can be reserved exactly — growth reallocations
- *  (copy + fresh-page faults) otherwise cost more than this pass.  Accepts
- *  repeat folds like the builder, so folded bodies are counted once. */
+ *  the body's vectors can be reserved exactly.  It costs host time (a
+ *  second lowering) but pays in memory: growth by doubling would leave
+ *  spare capacity in every body, and perfbench's ckks_dse sweep peaks at
+ *  about 28 MB RSS without the pass against about 20 MB with it.
+ *  Accepts repeat folds like the builder, so folded bodies are counted
+ *  once. */
 struct SizingSink final : isa::InstSink
 {
     u64 insts = 0;
@@ -695,11 +614,6 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
     for (const auto &part : program.parts)
         verifyProgram(part, out);
 
-    std::vector<u8> boundary(program.code.size() + 1, 0);
-    for (const auto &ev : program.phaseEvents)
-        if (ev.inst <= program.code.size())
-            boundary[static_cast<size_t>(ev.inst)] = 1;
-
     // Folded loops: bounds, ordering, purity and phase containment.
     u64 prevEnd = 0;
     for (size_t li = 0; li < program.loops.size(); ++li) {
@@ -758,57 +672,6 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
                 break;
             }
         }
-        // Loop edges break fused runs exactly like phase markers.
-        if (lp.end <= program.code.size()) {
-            boundary[static_cast<size_t>(start)] = 1;
-            boundary[static_cast<size_t>(lp.end)] = 1;
-        }
-    }
-
-    for (size_t i = 0; i < program.code.size(); ++i) {
-        const BcInst &head = program.code[i];
-        if (head.runLen <= 1)
-            continue;
-        const size_t end = i + head.runLen;
-        if (end > program.code.size()) {
-            std::ostringstream os;
-            os << "fused run of " << head.runLen << " at inst#" << i
-               << " overruns the program (" << program.code.size()
-               << " instructions)";
-            addFinding(out, "bc-fuse-phase-span",
-                       static_cast<std::ptrdiff_t>(i), os.str(),
-                       "re-run the fusion pass; runs must stay in bounds");
-            continue;
-        }
-        for (size_t k = i; k < end; ++k) {
-            if (program.code[k].kind == BcKind::Mem) {
-                std::ostringstream os;
-                os << "fused run [" << i << ", " << end << ") contains "
-                   << "inst#" << k << " ("
-                   << isa::opName(static_cast<isa::HwOp>(
-                          program.shape(program.code[k]).op))
-                   << ") with a cached scratchpad operand";
-                addFinding(out, "bc-fuse-cached-operand",
-                           static_cast<std::ptrdiff_t>(i), os.str(),
-                           "scratchpad-dependent instructions must break "
-                           "the run (their memory cost depends on LRU "
-                           "state)");
-                break;
-            }
-        }
-        for (size_t k = i + 1; k < end; ++k) {
-            if (boundary[k]) {
-                std::ostringstream os;
-                os << "fused run [" << i << ", " << end << ") crosses a "
-                   << "phase marker or loop edge before inst#" << k;
-                addFinding(out, "bc-fuse-phase-span",
-                           static_cast<std::ptrdiff_t>(i), os.str(),
-                           "phase markers and loop edges must only fire "
-                           "at run boundaries so timeline replay and "
-                           "loop-back checks stay exact");
-                break;
-            }
-        }
     }
 }
 
@@ -834,11 +697,9 @@ disassemble(const Program &program, std::ostream &os)
     os << "  insts=" << program.code.size() << " bufs="
        << program.bufs.size() << " slots=" << program.spadSlots
        << " spad_bytes=" << program.scratchpadBytes << " hbm_Bpc="
-       << program.hbmBytesPerCycle << " fused_runs="
-       << program.fusedRuns << " fused_insts=" << program.fusedInsts
-       << " loops=" << program.loops.size() << " executed="
-       << program.totalInsts() << " shapes=" << program.shapes.size()
-       << "\n";
+       << program.hbmBytesPerCycle << " loops=" << program.loops.size()
+       << " executed=" << program.totalInsts()
+       << " shapes=" << program.shapes.size() << "\n";
 
     size_t ev = 0;
     const auto &events = program.phaseEvents;
@@ -915,9 +776,6 @@ disassemble(const Program &program, std::ostream &os)
             }
             os << "]";
         }
-        if (b.runLen > 1)
-            os << " ; fused run len=" << b.runLen << " kind="
-               << fuseKindName(b.fuse);
         os << "\n";
     }
     loopEdges(program.code.size());

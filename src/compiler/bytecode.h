@@ -38,15 +38,6 @@
  *   - transient refs and zero-byte streamed refs are dropped at compile
  *     time only because they provably contribute nothing to engine state
  *     or statistics.
- *
- * Fusion: maximal runs of consecutive instructions that touch no cached
- * (scratchpad-resident) operand and do not cross a phase boundary are
- * tagged as one macro-op at the run head (runLen > 1).  On UFC this makes
- * each hybrid key switch (ModUp -> inner product -> ModDown: the operands
- * stream or live on chip) and each TFHE blind-rotate body between
- * bootstrap-key fetches a single fused unit the executor iterates without
- * re-dispatching.  Legality is lintable: analysis rules
- * `bc-fuse-cached-operand` and `bc-fuse-phase-span` (verifyProgram).
  */
 
 #ifndef UFC_COMPILER_BYTECODE_H
@@ -119,24 +110,12 @@ class SharedArray
 enum class BcKind : u8
 {
     /// No cached operands: the memory phase is fully pre-computed
-    /// (CostShape::staticFetchBytes / CostRow::staticMemCycles),
-    /// eligible for fusion.
+    /// (CostShape::staticFetchBytes / CostRow::staticMemCycles).
     Stream,
     /// At least one operand goes through the scratchpad model; the
     /// executor walks the BcBuf records in operand order.
     Mem,
 };
-
-/** Why a fused run was formed (disassembly / lint context). */
-enum class FuseKind : u8
-{
-    None,        ///< not a run head
-    KeySwitch,   ///< inside a "key_switch" phase (ModUp/IP/ModDown)
-    BlindRotate, ///< inside a "blind_rotate" phase (PBS inner loop)
-    Generic,     ///< any other streaming run (bootstrap linear algebra...)
-};
-
-const char *fuseKindName(FuseKind kind);
 
 /** One pre-resolved operand reference (transients are compiled away). */
 struct BcBuf
@@ -195,24 +174,19 @@ struct CostRow
 };
 
 /**
- * One bytecode instruction: its cost shape and execution shape.  16
- * bytes, four records per cache line; the cost terms live in the
- * Program's per-machine table, so one record serves every machine.
+ * One bytecode instruction: its cost shape and execution shape, in 12
+ * bytes; the cost terms live in the Program's per-machine table, so one
+ * record serves every machine.
  */
 struct BcInst
 {
     u32 shape = 0;     ///< CostShape / CostRow index
     u32 bufBegin = 0;  ///< first BcBuf (Mem kind)
     u16 bufCount = 0;  ///< BcBuf count (Mem kind)
-    /// Fused-run head: number of consecutive Stream instructions
-    /// (including this one) the executor may iterate without
-    /// re-dispatching; 1 everywhere else.
-    u16 runLen = 1;
     BcKind kind = BcKind::Stream;
-    FuseKind fuse = FuseKind::None;
 };
 
-static_assert(sizeof(BcInst) <= 16, "BcInst must stay at most 16 bytes");
+static_assert(sizeof(BcInst) == 12, "BcInst must stay 12 bytes");
 
 /**
  * Retired: the per-instruction disassembly side table.  Its fields
@@ -263,8 +237,8 @@ struct PhaseSegment
 };
 
 /**
- * The machine-independent part of a Program: everything the lowering,
- * fusion and folding produce.  Every array is a SharedArray, so copying
+ * The machine-independent part of a Program: everything the lowering
+ * and folding produce.  Every array is a SharedArray, so copying
  * a body (recost()) shares it instead of duplicating it.
  */
 struct LoweredBody
@@ -276,10 +250,6 @@ struct LoweredBody
     SharedArray<std::string> phaseNames; ///< owned; outlives the trace
     SharedArray<CostShape> shapes;       ///< distinct cost shapes
     u32 spadSlots = 0;                   ///< dense scratchpad slot count
-
-    // Fusion statistics (disassembly / bench reporting).
-    u64 fusedRuns = 0;
-    u64 fusedInsts = 0;
 };
 
 namespace detail {
@@ -424,7 +394,7 @@ std::vector<SlotAccess> slotAccesses(const Program &p);
  * verification and JIT lowering compose in one pass over the instruction
  * stream (LoweringOptions::lint interposes the verifier in front of this
  * sink).  Single-use, like Lowering itself: issue everything, then call
- * finish() exactly once to run the fusion pass.  The builder never sees
+ * finish() exactly once to seal the body.  The builder never sees
  * a machine; costProgram() binds one afterwards.
  */
 class ProgramBuilder : public isa::InstSink
@@ -445,13 +415,12 @@ class ProgramBuilder : public isa::InstSink
     bool beginRepeat(u64 trips) override;
     void endRepeat() override;
 
-    /** Seal the body: assign fused runs and the slot count. */
+    /** Seal the body: record the slot count. */
     void finish();
 
   private:
     u32 slotFor(u64 id);
     u32 shapeFor(const CostShape &shape);
-    void fuse();
 
     Program *out_;
     // The body's arrays, unshared for the builder's lifetime.
@@ -520,22 +489,15 @@ Program compileTraceStream(std::istream &is, const LoweringOptions &opts,
                            std::size_t *peakBufferedBytes = nullptr);
 
 /**
- * Check the fused-op legality invariants of a compiled Program and append
+ * Check the folded-loop invariants of a compiled Program and append
  * violations to `out`:
- *   bc-fuse-cached-operand  a fused run contains an instruction with a
- *                           cached (scratchpad) operand — its memory
- *                           behaviour depends on LRU state, so it must
- *                           not be iterated as a streaming macro-op
- *   bc-fuse-phase-span      a fused run crosses a phase marker or a
- *                           loop boundary, which would mis-place
- *                           timeline slices / repeat executions
  *   bc-loop-invariant       a folded loop is malformed: out of bounds,
  *                           overlapping or unsorted, trivial (trips < 2
  *                           or empty body), containing a cached-operand
  *                           instruction, or spanning a phase marker
- * Programs produced by ProgramBuilder::finish() always pass; the rules
- * guard hand-built or mutated Programs (and regressions in the fusion
- * pass itself).
+ * Programs produced by ProgramBuilder::finish() always pass; the rule
+ * guards hand-built or mutated Programs (and regressions in the
+ * builder's repeat folding).
  */
 void verifyProgram(const Program &program,
                    analysis::DiagnosticReport &out);

@@ -272,22 +272,8 @@ BytecodeEngine::exec()
                 ++ev;
             }
         }
-        const compiler::BcInst &b = code[i];
-        if (!WithTimeline && b.runLen > 1) {
-            // Fused macro-op: every member is a Stream instruction and
-            // no phase marker fires inside the run (compile-time
-            // invariants; lint rules bc-fuse-*), so the inner loop
-            // skips the dispatch checks entirely.  Timeline runs take
-            // the generic path — replaying phase events between member
-            // instructions needs the per-instruction cursor.
-            const size_t end = i + b.runLen;
-            for (size_t k = i; k < end; ++k)
-                step<false>(code[k]);
-            i = end;
-        } else {
-            step<WithTimeline>(b);
-            ++i;
-        }
+        step<WithTimeline>(code[i]);
+        ++i;
     }
     if constexpr (WithTimeline) {
         while (ev < events.size()) {

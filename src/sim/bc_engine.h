@@ -14,9 +14,7 @@
  *     per-machine cost table, indexed by each BcInst's shape id),
  *   - the scratchpad is a dense slot array with an intrusive LRU list
  *     instead of unordered_map + std::list,
- *   - the prefetch window is a flat ring buffer instead of a deque,
- *   - fused runs (BcInst::runLen > 1) iterate Stream instructions
- *     without re-dispatching on kind or phase events.
+ *   - the prefetch window is a flat ring buffer instead of a deque.
  *
  * Thread safety: one engine per run; engines on distinct threads may
  * share one (immutable) Program.

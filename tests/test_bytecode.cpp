@@ -25,6 +25,7 @@
 #include "common/fault.h"
 #include "compiler/bytecode.h"
 #include "runner/runner.h"
+#include "runner/sweeps.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
 #include "trace/serialize.h"
@@ -143,8 +144,7 @@ TEST(BytecodeDifferential, TimelineSlicesMatchIrBitExact)
             EXPECT_EQ(a.bytes, b.bytes) << i;
         }
         // Observation changes nothing: with the timeline detached the
-        // result is still the same (this also exercises the fused fast
-        // path, which only runs without a timeline).
+        // result is still the same.
         EXPECT_EQ(model->run(tr).stats.totalCycles, bc.stats.totalCycles);
     }
 }
@@ -434,114 +434,11 @@ TEST(BytecodeProgram, RunnerBatchMatchesIrBatch)
     }
 }
 
-// ---------------------------------------------------------------------
-// Fusion legality and the bytecode verifier.
-
-TEST(BytecodeFusion, BootstrapProgramContainsLegalFusedRuns)
+TEST(BytecodeProgram, OnePassAnalyzeLoweredStaysCleanOnBuiltins)
 {
-    const UfcModel model;
-    const compiler::Program program =
-        model.compile(workloads::ckksBootstrapping(ckks::CkksParams::c1()));
-    EXPECT_GT(program.fusedRuns, 0u);
-    EXPECT_GT(program.fusedInsts, program.fusedRuns);
-
-    analysis::DiagnosticReport rep;
-    compiler::verifyProgram(program, rep);
-    EXPECT_TRUE(rep.clean()) << rep.toText();
-
-    // Every fused member must be a Stream instruction; at least one run
-    // should carry a key-switch classification on a bootstrap workload.
-    bool sawKeySwitch = false;
-    for (size_t i = 0; i < program.code.size();) {
-        const compiler::BcInst &head = program.code[i];
-        if (head.runLen > 1) {
-            for (u32 k = 0; k < head.runLen; ++k)
-                EXPECT_EQ(program.code[i + k].kind,
-                          compiler::BcKind::Stream);
-            if (head.fuse == compiler::FuseKind::KeySwitch)
-                sawKeySwitch = true;
-            i += head.runLen;
-        } else {
-            ++i;
-        }
-    }
-    EXPECT_TRUE(sawKeySwitch);
-}
-
-compiler::Program
-programWithRun(size_t *headOut)
-{
-    const UfcModel model;
-    compiler::Program program =
-        model.compile(workloads::ckksBootstrapping(ckks::CkksParams::c1()));
-    for (size_t i = 0; i < program.code.size(); ++i)
-        if (program.code[i].runLen > 1) {
-            *headOut = i;
-            return program;
-        }
-    ADD_FAILURE() << "no fused run in bootstrap program";
-    *headOut = 0;
-    return program;
-}
-
-TEST(BytecodeFusion, VerifierFlagsRunOverrun)
-{
-    size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    program.code.edit()[head].runLen =
-        static_cast<u16>(program.code.size() - head + 1);
-    analysis::DiagnosticReport rep;
-    compiler::verifyProgram(program, rep);
-    ASSERT_GT(rep.errorCount(), 0u);
-    EXPECT_EQ(rep.firstError()->rule, "bc-fuse-phase-span");
-}
-
-TEST(BytecodeFusion, VerifierFlagsCachedOperandInsideRun)
-{
-    size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    program.code.edit()[head + 1].kind = compiler::BcKind::Mem;
-    analysis::DiagnosticReport rep;
-    compiler::verifyProgram(program, rep);
-    ASSERT_GT(rep.errorCount(), 0u);
-    EXPECT_EQ(rep.firstError()->rule, "bc-fuse-cached-operand");
-}
-
-TEST(BytecodeFusion, VerifierFlagsPhaseMarkerInsideRun)
-{
-    size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    auto &events = program.phaseEvents.edit();
-    events.push_back(compiler::PhaseEvent{static_cast<u64>(head) + 1,
-                                          compiler::PhaseEvent::kEnd});
-    std::sort(events.begin(), events.end(),
-              [](const compiler::PhaseEvent &a,
-                 const compiler::PhaseEvent &b) { return a.inst < b.inst; });
-    analysis::DiagnosticReport rep;
-    compiler::verifyProgram(program, rep);
-    ASSERT_GT(rep.errorCount(), 0u);
-    EXPECT_EQ(rep.firstError()->rule, "bc-fuse-phase-span");
-}
-
-TEST(BytecodeFusion, LintRulesAreRegistered)
-{
-    bool sawCached = false;
-    bool sawSpan = false;
-    for (const auto &rule : analysis::ruleRegistry()) {
-        if (std::string_view(rule.id) == "bc-fuse-cached-operand")
-            sawCached = true;
-        if (std::string_view(rule.id) == "bc-fuse-phase-span")
-            sawSpan = true;
-    }
-    EXPECT_TRUE(sawCached);
-    EXPECT_TRUE(sawSpan);
-}
-
-TEST(BytecodeFusion, OnePassAnalyzeLoweredStaysCleanOnBuiltins)
-{
-    // analyzeLowered now verifies through the same one-pass lowering
-    // that emits bytecode (VerifyingSink composed with ProgramBuilder),
-    // plus the bc-fuse-* program checks; builtin workloads stay clean.
+    // analyzeLowered verifies through the same one-pass lowering that
+    // emits bytecode (VerifyingSink composed with ProgramBuilder), plus
+    // the bytecode program checks; builtin workloads stay clean.
     const analysis::Analyzer analyzer;
     const UfcModel model;
     for (const auto &tr : ckksTraces()) {
@@ -549,6 +446,26 @@ TEST(BytecodeFusion, OnePassAnalyzeLoweredStaysCleanOnBuiltins)
             analyzer.analyzeLowered(tr, model.loweringOptions());
         EXPECT_TRUE(rep.clean()) << tr.name << "\n" << rep.toText();
     }
+}
+
+TEST(BytecodeProgram, CompileReservesBodyExactly)
+{
+    // compileTrace's sizing pre-pass reserves the record and operand
+    // arrays exactly; the slack that growth by doubling would leave is
+    // what keeps a compile-bound sweep's peak RSS down.  edit() does not
+    // copy here: a freshly compiled Program is its arrays' only owner.
+    std::size_t checked = 0;
+    for (const runner::Job &job : runner::allJobs(runner::paperSweeps())) {
+        compiler::Program program = job.model->compile(*job.trace);
+        if (program.composed())
+            continue;
+        const auto &code = program.code.edit();
+        const auto &bufs = program.bufs.edit();
+        EXPECT_EQ(code.capacity(), code.size()) << job.label;
+        EXPECT_EQ(bufs.capacity(), bufs.size()) << job.label;
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -666,6 +583,10 @@ TEST(BytecodeLoops, VerifierFlagsMalformedLoops)
     oob.loops.edit().back().end = oob.code.size() + 7;
     EXPECT_EQ(firstRule(oob), "bc-loop-invariant");
 
+    compiler::Program cached = good;
+    cached.code.edit()[cached.loops[0].end - 1].kind = compiler::BcKind::Mem;
+    EXPECT_EQ(firstRule(cached), "bc-loop-invariant");
+
     compiler::Program marked = good;
     const compiler::BcLoop &lp = marked.loops[0];
     auto &events = marked.phaseEvents.edit();
@@ -720,7 +641,7 @@ TEST(BytecodeProgram, DisassemblyListsOpsAndPhases)
     const std::string text = os.str();
     EXPECT_NE(text.find(program.workload), std::string::npos);
     EXPECT_NE(text.find("key_switch"), std::string::npos);
-    EXPECT_NE(text.find("fused"), std::string::npos);
+    EXPECT_NE(text.find("loops="), std::string::npos);
 }
 
 } // namespace

@@ -129,13 +129,11 @@ addMemInst(compiler::Program &p, const std::vector<Operand> &operands,
 }
 
 u64
-addStreamInst(compiler::Program &p, double fetchBytes = 64.0,
-              u16 runLen = 1)
+addStreamInst(compiler::Program &p, double fetchBytes = 64.0)
 {
     compiler::BcInst inst;
     inst.kind = compiler::BcKind::Stream;
     inst.shape = addShape(p, 10.0, fetchBytes);
-    inst.runLen = runLen;
     p.code.edit().push_back(inst);
     return p.code.size() - 1;
 }
@@ -448,19 +446,6 @@ TEST(DataflowProgramRules, SpadOvercommitPositiveAndNegative)
     compiler::Program good = progSkeleton(2, 4096.0);
     addMemInst(good, {{0, compiler::kCtBase + 1, 100.0, false},
                       {1, compiler::kCtBase + 2, 100.0, false}});
-    EXPECT_TRUE(programReport(good).empty());
-}
-
-TEST(DataflowProgramRules, FuseMemdepPositiveAndNegative)
-{
-    compiler::Program bad = progSkeleton(1, 4096.0);
-    addStreamInst(bad, 64.0, 2);             // run head claims 2 insts
-    addMemInst(bad, {{0, 7, 100.0, false}}); // cached operand inside
-    EXPECT_TRUE(rulesIn(programReport(bad)).count("df-fuse-memdep"));
-
-    compiler::Program good = progSkeleton(0, 4096.0);
-    addStreamInst(good, 64.0, 2);
-    addStreamInst(good);
     EXPECT_TRUE(programReport(good).empty());
 }
 

@@ -53,16 +53,13 @@ expectSameProgram(const Program &a, const Program &b,
     EXPECT_TRUE(sameBits(a.scratchpadBytes, b.scratchpadBytes));
     EXPECT_TRUE(sameBits(a.fillCycles, b.fillCycles));
     EXPECT_EQ(a.spadSlots, b.spadSlots);
-    EXPECT_EQ(a.fusedRuns, b.fusedRuns);
-    EXPECT_EQ(a.fusedInsts, b.fusedInsts);
 
     ASSERT_EQ(a.code.size(), b.code.size());
     for (std::size_t i = 0; i < a.code.size(); ++i) {
         const compiler::BcInst &x = a.code[i];
         const compiler::BcInst &y = b.code[i];
         ASSERT_TRUE(x.shape == y.shape && x.bufBegin == y.bufBegin &&
-                    x.bufCount == y.bufCount && x.runLen == y.runLen &&
-                    x.kind == y.kind && x.fuse == y.fuse)
+                    x.bufCount == y.bufCount && x.kind == y.kind)
             << "record " << i;
     }
     ASSERT_EQ(a.bufs.size(), b.bufs.size());
