@@ -2,6 +2,11 @@
  * @file
  * CKKS context: the modulus chain, ring tables and the RNS precomputation
  * used by rescaling and hybrid key switching.
+ *
+ * Every constant the key-switching and rescale kernels need is built
+ * here once, with its Shoup companion: one ModUpPlan per (limbs, digit)
+ * and one DropPlan for ModDown and for each rescale.  A homomorphic op
+ * then runs no RnsBasis, invMod or 128-bit division.
  */
 
 #ifndef UFC_CKKS_CONTEXT_H
@@ -15,6 +20,33 @@
 
 namespace ufc {
 namespace ckks {
+
+/**
+ * ModUp of one key-switching digit [lo, hi) at one limb count: the
+ * digit's limbs are the input times [Qhat_d^-1]_{q_i}, every other limb
+ * of Q x P is a BConv of the digit.
+ */
+struct ModUpPlan
+{
+    int lo = 0;
+    int hi = 0;
+    /// [Qhat_d^-1]_{q_i} for i in [lo, hi), with Shoup companions.
+    std::vector<u64> inner, innerShoup;
+    /// Digit limbs -> the limbs of Q x P outside [lo, hi), in order;
+    /// Qhat_d^-1 is folded into its source factors.
+    BaseConverter conv;
+};
+
+/**
+ * Exact division by the product D of dropped limbs: out_i = (x_i -
+ * BConv_{D->q_i}(x_D)) * D^-1 mod q_i.  ModDown drops D = P, rescale
+ * drops D = q_last.
+ */
+struct DropPlan
+{
+    BaseConverter conv;              ///< D -> q_0, q_1, ...
+    std::vector<u64> inv, invShoup;  ///< [D^-1]_{q_i} and Shoup companions
+};
 
 /**
  * Owns everything shared between CKKS objects: NTT tables, the q/p prime
@@ -52,14 +84,28 @@ class CkksContext
     /** Global limb indices covered by digit d at a given limb count. */
     std::pair<int, int> digitRange(int d, int limbs) const;
 
-    /** [P^-1] mod q_i, used by ModDown. */
-    u64 pInvModQ(int i) const { return pInvModQ_[i]; }
-    /** [q_last^-1] mod q_i for rescale from `limbs` to `limbs`-1. */
-    u64 qLastInvModQ(int limbs, int i) const;
-    /** [Qhat_d^-1] mod q_i for i inside digit d (full-level partition). */
-    u64 qHatInvDigit(int d, int i) const { return qHatInvDigit_[d][i]; }
     /** Qhat_d = prod of q limbs outside digit d, mod an arbitrary prime. */
     u64 qHatDigitMod(int d, u64 prime) const;
+
+    /** ModUp of digit d at `limbs` active limbs. */
+    const ModUpPlan &
+    modUpPlan(int limbs, int d) const
+    {
+        return modUp_[limbs - 1][d];
+    }
+    /** ModDown: P -> q_0..q_{L-1}. */
+    const DropPlan &modDownPlan() const { return modDown_; }
+    /** Rescale from `limbs` to `limbs` - 1: q_{limbs-1} -> the rest. */
+    const DropPlan &
+    rescalePlan(int limbs) const
+    {
+        return rescale_[limbs - 2];
+    }
+
+    /** NTT table of q_i. */
+    const NttTable &qTable(int i) const { return *qTables_[i]; }
+    /** NTT table of p_j. */
+    const NttTable &pTable(int j) const { return *pTables_[j]; }
 
     /** Fresh zero RnsPoly over q_0..q_{limbs-1}. */
     RnsPoly makePoly(int limbs, PolyForm form) const;
@@ -73,9 +119,11 @@ class CkksContext
     std::vector<u64> pChain_;
     int alpha_ = 0;
     double scale_ = 0.0;
-    std::vector<u64> pInvModQ_;
-    // qHatInvDigit_[d][i]: [ (Q_full / Qtilde_d)^-1 ] mod q_i (i in digit d).
-    std::vector<std::vector<u64>> qHatInvDigit_;
+    std::vector<const NttTable *> qTables_;
+    std::vector<const NttTable *> pTables_;
+    std::vector<std::vector<ModUpPlan>> modUp_; ///< [limbs - 1][digit]
+    DropPlan modDown_;
+    std::vector<DropPlan> rescale_;             ///< [limbs - 2]
 };
 
 } // namespace ckks

@@ -5,14 +5,158 @@
 
 #include "ckks/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ufc {
 namespace ckks {
 
 namespace {
+
+/**
+ * Per-thread key-switching and rescale temporaries, limb-major (limb i
+ * of a buffer starts at word i * n).  They grow to the largest shape a
+ * thread has seen and are reused by its later calls, so a warmed op
+ * allocates only its outputs.  Limb-parallel phases write disjoint
+ * limbs of the calling thread's buffers.
+ */
+struct Workspace
+{
+    std::vector<u64> in;   ///< key-switch input, eval form
+    std::vector<u64> y;    ///< input in coefficient form, times f_i
+    std::vector<u64> up;   ///< [digit][Q x P limb]: ModUp output, eval
+    std::vector<u64> drop; ///< dropped limbs, coefficient form, times f
+    std::vector<u64> conv; ///< BConv of the dropped limbs, eval form
+    std::vector<const u64 *> keys; ///< [out][Q x P limb][digit] key limbs
+};
+
+thread_local Workspace tlsWorkspace;
+
+u64 *
+reserve(std::vector<u64> &buf, std::size_t words)
+{
+    if (buf.size() < words)
+        buf.resize(words);
+    return buf.data();
+}
+
+/**
+ * Hybrid key switching of the `limbs`-limb eval-form polynomial staged in
+ * ws.in, adding the result (d0, d1) into out0 and out1:
+ *   - ModUp: y_i = INTT(c_i) * [Qhat_d^-1 * dHat_i^-1]_{q_i}; a digit's
+ *     own limbs are c_i * [Qhat_d^-1]_{q_i} straight from the eval form,
+ *     every other limb of Q x P is BConv(y) through an NTT.
+ *   - Inner product: sum_d up_d * key_d over all digits in 128 bits, one
+ *     reduction per coefficient, reading the key limbs in place.
+ *   - ModDown: INTT on the K special limbs only; each q limb subtracts
+ *     NTT(BConv_{P->q_i}) and scales by P^-1 in eval form.
+ * Every output word equals the canonical residue of the textbook
+ * formulas, so the result does not depend on this operation order.
+ */
+void
+keySwitchStaged(const CkksContext &ctx, Workspace &ws, int limbs,
+                const EvalKey &key, RnsPoly &out0, RnsPoly &out1)
+{
+    const int L = ctx.levels();
+    const int K = ctx.specialLimbs();
+    const int T = limbs + K; // limbs of Q x P
+    const int digits = ctx.digitsForLimbs(limbs);
+    const std::size_t n = ctx.degree();
+    UFC_CHECK(limbs >= 1 && limbs <= L, "bad limb count");
+    UFC_CHECK(static_cast<int>(key.b.size()) >= digits &&
+                  static_cast<int>(key.a.size()) >= digits,
+              "evaluation key has too few digits");
+
+    const u64 *in = ws.in.data();
+    u64 *y = reserve(ws.y, limbs * n);
+    u64 *up = reserve(ws.up, digits * T * n);
+    u64 *drop = reserve(ws.drop, 2 * K * n);
+    u64 *conv = reserve(ws.conv, 2 * limbs * n);
+    ws.keys.resize(2 * T * digits);
+    for (int s = 0; s < 2; ++s) {
+        const std::vector<RnsPoly> &parts = s == 0 ? key.b : key.a;
+        for (int d = 0; d < digits; ++d)
+            UFC_CHECK(static_cast<int>(parts[d].limbCount()) == L + K,
+                      "expected a full Q x P evaluation key");
+        for (int t = 0; t < T; ++t) {
+            const int full = t < limbs ? t : L + t - limbs;
+            for (int d = 0; d < digits; ++d)
+                ws.keys[(s * T + t) * digits + d] =
+                    parts[d].limb(full).data().data();
+        }
+    }
+    // sum_d up_d[t] * key_d[t] for output s, coefficient k.
+    const auto innerProduct = [&](int s, int t, std::size_t k) {
+        const u64 *const *kp = &ws.keys[(s * T + t) * digits];
+        u128 acc = 0;
+        for (int d = 0; d < digits; ++d)
+            acc += static_cast<u128>(up[(d * T + t) * n + k]) * kp[d][k];
+        return acc;
+    };
+
+    parallelFor(limbs, [&](std::size_t i) {
+        const ModUpPlan &plan =
+            ctx.modUpPlan(limbs, static_cast<int>(i) / ctx.digitSize());
+        u64 *yi = y + i * n;
+        std::copy(in + i * n, in + (i + 1) * n, yi);
+        ctx.qTable(static_cast<int>(i)).inverse(yi);
+        plan.conv.scale(i - plan.lo, yi, yi, n);
+    });
+
+    parallelFor(digits * T, [&](std::size_t idx) {
+        const int d = static_cast<int>(idx) / T;
+        const int t = static_cast<int>(idx) % T;
+        const ModUpPlan &plan = ctx.modUpPlan(limbs, d);
+        const NttTable &tab =
+            t < limbs ? ctx.qTable(t) : ctx.pTable(t - limbs);
+        u64 *dst = up + idx * n;
+        if (t >= plan.lo && t < plan.hi) {
+            const Modulus &q = tab.modulus();
+            const u64 f = plan.inner[t - plan.lo];
+            const u64 fShoup = plan.innerShoup[t - plan.lo];
+            const u64 *src = in + t * n;
+            for (std::size_t k = 0; k < n; ++k)
+                dst[k] = q.mulShoup(src[k], f, fShoup);
+            return;
+        }
+        const int target = t < plan.lo ? t : t - (plan.hi - plan.lo);
+        plan.conv.convert(target, y + plan.lo * n, dst, n);
+        tab.forward(dst);
+    });
+
+    const DropPlan &md = ctx.modDownPlan();
+    parallelFor(2 * K, [&](std::size_t idx) {
+        const int s = static_cast<int>(idx) / K;
+        const int j = static_cast<int>(idx) % K;
+        const NttTable &tab = ctx.pTable(j);
+        const Modulus &p = tab.modulus();
+        u64 *dst = drop + idx * n;
+        for (std::size_t k = 0; k < n; ++k)
+            dst[k] = p.reduce(innerProduct(s, limbs + j, k));
+        tab.inverse(dst);
+        md.conv.scale(j, dst, dst, n);
+    });
+
+    parallelFor(2 * limbs, [&](std::size_t idx) {
+        const int s = static_cast<int>(idx) / limbs;
+        const int i = static_cast<int>(idx) % limbs;
+        const NttTable &tab = ctx.qTable(i);
+        const Modulus &q = tab.modulus();
+        u64 *c = conv + idx * n;
+        md.conv.convert(i, drop + s * K * n, c, n);
+        tab.forward(c);
+        const u64 inv = md.inv[i];
+        const u64 invShoup = md.invShoup[i];
+        u64 *o = (s == 0 ? out0 : out1).limb(i).data().data();
+        for (std::size_t k = 0; k < n; ++k) {
+            const u64 x = q.reduce(innerProduct(s, i, k));
+            o[k] = q.add(o[k], q.mulShoup(q.sub(x, c[k]), inv, invShoup));
+        }
+    });
+}
 
 void
 checkSameShape(const Ciphertext &a, const Ciphertext &b)
@@ -88,29 +232,40 @@ CkksEvaluator::multiply(const Ciphertext &a, const Ciphertext &b,
                         const EvalKey &relin) const
 {
     checkSameShape(a, b);
-    // Tensor product: (e0, e1, e2) with e2 multiplying s^2.
-    RnsPoly e0 = a.c0;
-    e0.mulEvalInPlace(b.c0);
+    for (const RnsPoly *p : {&a.c0, &a.c1, &b.c0, &b.c1})
+        UFC_CHECK(p->form() == PolyForm::Eval,
+                  "multiply expects eval-form ciphertexts");
+    const int limbs = a.limbs;
+    const std::size_t n = ctx_->degree();
+    Workspace &ws = tlsWorkspace;
+    u64 *e2 = reserve(ws.in, limbs * n);
 
-    RnsPoly e1 = a.c0;
-    e1.mulEvalInPlace(b.c1);
-    RnsPoly t = a.c1;
-    t.mulEvalInPlace(b.c0);
-    e1.addInPlace(t);
-
-    RnsPoly e2 = a.c1;
-    e2.mulEvalInPlace(b.c1);
+    // Tensor product (e0, e1, e2), e2 multiplying s^2: e0 and e1 become
+    // the outputs, e2 is staged for relinearization.
+    Ciphertext out;
+    out.c0 = ctx_->makePoly(limbs, PolyForm::Eval);
+    out.c1 = ctx_->makePoly(limbs, PolyForm::Eval);
+    out.limbs = limbs;
+    out.scale = a.scale * b.scale;
+    parallelFor(limbs, [&](std::size_t i) {
+        const Modulus &q = ctx_->qTable(static_cast<int>(i)).modulus();
+        const u64 *a0 = a.c0.limb(i).data().data();
+        const u64 *a1 = a.c1.limb(i).data().data();
+        const u64 *b0 = b.c0.limb(i).data().data();
+        const u64 *b1 = b.c1.limb(i).data().data();
+        u64 *e0 = out.c0.limb(i).data().data();
+        u64 *e1 = out.c1.limb(i).data().data();
+        u64 *e2i = e2 + i * n;
+        for (std::size_t k = 0; k < n; ++k) {
+            e0[k] = q.mul(a0[k], b0[k]);
+            e1[k] = q.reduce(static_cast<u128>(a0[k]) * b1[k] +
+                             static_cast<u128>(a1[k]) * b0[k]);
+            e2i[k] = q.mul(a1[k], b1[k]);
+        }
+    });
 
     // Relinearize e2 back onto (c0, c1).
-    auto [d0, d1] = keySwitch(e2, relin);
-    e0.addInPlace(d0);
-    e1.addInPlace(d1);
-
-    Ciphertext out;
-    out.c0 = std::move(e0);
-    out.c1 = std::move(e1);
-    out.limbs = a.limbs;
-    out.scale = a.scale * b.scale;
+    keySwitchStaged(*ctx_, ws, limbs, relin, out.c0, out.c1);
     return out;
 }
 
@@ -124,33 +279,45 @@ Ciphertext
 CkksEvaluator::rescale(const Ciphertext &a) const
 {
     UFC_CHECK(a.limbs >= 2, "cannot rescale at the last level");
+    UFC_CHECK(a.c0.form() == PolyForm::Eval && a.c1.form() == PolyForm::Eval,
+              "rescale expects an eval-form ciphertext");
     const int limbs = a.limbs;
-    const u64 qLast = ctx_->qAt(limbs - 1);
+    const std::size_t n = ctx_->degree();
+    const DropPlan &plan = ctx_->rescalePlan(limbs);
 
     Ciphertext out;
     out.limbs = limbs - 1;
-    out.scale = a.scale / static_cast<double>(qLast);
+    out.scale = a.scale / static_cast<double>(ctx_->qAt(limbs - 1));
+    out.c0 = ctx_->makePoly(limbs - 1, PolyForm::Eval);
+    out.c1 = ctx_->makePoly(limbs - 1, PolyForm::Eval);
 
-    for (RnsPoly Ciphertext::*member : {&Ciphertext::c0, &Ciphertext::c1}) {
-        RnsPoly p = a.*member;
-        p.toCoeff();
-        const Poly &last = p.limb(limbs - 1);
-        RnsPoly r = ctx_->makePoly(limbs - 1, PolyForm::Coeff);
-        for (int i = 0; i < limbs - 1; ++i) {
-            const Modulus qi(ctx_->qAt(i));
-            const u64 inv = ctx_->qLastInvModQ(limbs, i);
-            const u64 invShoup = qi.shoupPrecompute(inv);
-            Poly &dst = r.limb(i);
-            const Poly &src = p.limb(i);
-            for (u64 c = 0; c < src.degree(); ++c) {
-                const u64 diff =
-                    subMod(src[c], last[c] % qi.value(), qi.value());
-                dst[c] = qi.mulShoup(diff, inv, invShoup);
-            }
-        }
-        r.toEval();
-        out.*member = std::move(r);
-    }
+    // The last limb of each component to coefficient form (the only
+    // INTT), then out_i = (x_i - NTT([last]_{q_i})) * q_last^-1 per limb.
+    // A one-limb basis has source factor 1, so the INTT output is
+    // already scaled.
+    u64 *last = reserve(tlsWorkspace.drop, 2 * n);
+    const RnsPoly *src[2] = {&a.c0, &a.c1};
+    RnsPoly *dst[2] = {&out.c0, &out.c1};
+    parallelFor(2, [&](std::size_t s) {
+        u64 *l = last + s * n;
+        const u64 *x = src[s]->limb(limbs - 1).data().data();
+        std::copy(x, x + n, l);
+        ctx_->qTable(limbs - 1).inverse(l);
+    });
+    parallelFor(2 * (limbs - 1), [&](std::size_t idx) {
+        const std::size_t s = idx / (limbs - 1);
+        const int i = static_cast<int>(idx % (limbs - 1));
+        const NttTable &tab = ctx_->qTable(i);
+        const Modulus &q = tab.modulus();
+        u64 *o = dst[s]->limb(i).data().data();
+        plan.conv.convert(i, last + s * n, o, n);
+        tab.forward(o);
+        const u64 *x = src[s]->limb(i).data().data();
+        const u64 inv = plan.inv[i];
+        const u64 invShoup = plan.invShoup[i];
+        for (std::size_t k = 0; k < n; ++k)
+            o[k] = q.mulShoup(q.sub(x[k], o[k]), inv, invShoup);
+    });
     return out;
 }
 
@@ -169,134 +336,17 @@ CkksEvaluator::dropToLimbs(const Ciphertext &a, int limbs) const
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &c, const EvalKey &key) const
 {
+    UFC_CHECK(c.form() == PolyForm::Eval, "key switching expects Eval form");
     const int limbs = static_cast<int>(c.limbCount());
-    const int K = ctx_->specialLimbs();
-    const int digits = ctx_->digitsForLimbs(limbs);
-    const u64 n = ctx_->degree();
-    const auto qpModuli = ctx_->qpBasis(limbs);
-
-    RnsPoly cCoeff = c;
-    cCoeff.toCoeff();
-
-    RnsPoly acc0(ctx_->ring(), qpModuli, PolyForm::Eval);
-    RnsPoly acc1(ctx_->ring(), qpModuli, PolyForm::Eval);
-
-    for (int d = 0; d < digits; ++d) {
-        const auto [lo, hi] = ctx_->digitRange(d, limbs);
-
-        // Digit extraction: y_i = [c_i * QhatInv_d]_{q_i} for limbs in d.
-        std::vector<std::vector<u64>> y(hi - lo);
-        std::vector<Modulus> srcMods;
-        for (int i = lo; i < hi; ++i) {
-            const Modulus qi(ctx_->qAt(i));
-            srcMods.push_back(qi);
-            const u64 f = ctx_->qHatInvDigit(d, i);
-            const u64 fShoup = qi.shoupPrecompute(f);
-            y[i - lo].resize(n);
-            const Poly &src = cCoeff.limb(i);
-            for (u64 k = 0; k < n; ++k)
-                y[i - lo][k] = qi.mulShoup(src[k], f, fShoup);
-        }
-
-        // ModUp: fast base conversion of the digit to the full Q x P
-        // basis.  BConv(x)_t = sum_i [x_i * dHatInv_i]_{q_i} * dHat_i
-        // where the dHat products are over the digit's own limbs.
-        RnsBasis digitBasis(std::vector<u64>(
-            qpModuli.begin() + lo, qpModuli.begin() + hi));
-        RnsPoly up(ctx_->ring(), qpModuli, PolyForm::Coeff);
-        for (int i = lo; i < hi; ++i) {
-            const Modulus &qi = srcMods[i - lo];
-            const u64 f = digitBasis.qHatInvModQi(i - lo);
-            const u64 fShoup = qi.shoupPrecompute(f);
-            for (u64 k = 0; k < n; ++k)
-                y[i - lo][k] = qi.mulShoup(y[i - lo][k], f, fShoup);
-        }
-        for (size_t t = 0; t < qpModuli.size(); ++t) {
-            const int gt = static_cast<int>(t);
-            if (gt >= lo && gt < hi) {
-                // Target inside the digit: conversion is exact and equals
-                // c_i * QhatInv_d, i.e. undo the inner dHatInv scaling.
-                const Modulus &qi = srcMods[gt - lo];
-                const u64 dHat = digitBasis.qHatModP(gt - lo, qi);
-                const u64 dHatShoup = qi.shoupPrecompute(dHat);
-                Poly &dst = up.limb(t);
-                for (u64 k = 0; k < n; ++k)
-                    dst[k] = qi.mulShoup(y[gt - lo][k], dHat, dHatShoup);
-                continue;
-            }
-            const Modulus pt(qpModuli[t]);
-            Poly &dst = up.limb(t);
-            for (int i = lo; i < hi; ++i) {
-                const u64 hat = digitBasis.qHatModP(i - lo, pt);
-                const u64 hatShoup = pt.shoupPrecompute(hat);
-                const auto &yi = y[i - lo];
-                for (u64 k = 0; k < n; ++k) {
-                    dst[k] = pt.add(
-                        dst[k], pt.mulShoup(yi[k] % pt.value(), hat,
-                                            hatShoup));
-                }
-            }
-        }
-
-        // Inner product with the evaluation key (NTT + EWMM + EWMA).
-        up.toEval();
-        const RnsPoly kb = subPolyQp(ctx_, key.b[d], limbs);
-        const RnsPoly ka = subPolyQp(ctx_, key.a[d], limbs);
-        acc0.fmaEval(up, kb);
-        acc1.fmaEval(up, ka);
-    }
-
-    (void)K;
-    return {modDown(std::move(acc0), limbs),
-            modDown(std::move(acc1), limbs)};
-}
-
-RnsPoly
-CkksEvaluator::modDown(RnsPoly acc, int limbs) const
-{
-    const int K = ctx_->specialLimbs();
-    const u64 n = ctx_->degree();
-    acc.toCoeff();
-
-    // BConv the P part down to the q basis.
-    std::vector<u64> pMods = ctx_->pChain();
-    RnsBasis pBasis(pMods);
-    std::vector<std::vector<u64>> yp(K);
-    for (int j = 0; j < K; ++j) {
-        const Modulus pj(pMods[j]);
-        const u64 f = pBasis.qHatInvModQi(j);
-        const u64 fShoup = pj.shoupPrecompute(f);
-        yp[j].resize(n);
-        const Poly &src = acc.limb(limbs + j);
-        for (u64 k = 0; k < n; ++k)
-            yp[j][k] = pj.mulShoup(src[k], f, fShoup);
-    }
-
-    RnsPoly out = ctx_->makePoly(limbs, PolyForm::Coeff);
-    for (int i = 0; i < limbs; ++i) {
-        const Modulus qi(ctx_->qAt(i));
-        Poly &dst = out.limb(i);
-        // conv = BConv_P->qi(acc_P)
-        for (int j = 0; j < K; ++j) {
-            const u64 hat = pBasis.qHatModP(j, qi);
-            const u64 hatShoup = qi.shoupPrecompute(hat);
-            const auto &yj = yp[j];
-            for (u64 k = 0; k < n; ++k) {
-                dst[k] = qi.add(
-                    dst[k],
-                    qi.mulShoup(yj[k] % qi.value(), hat, hatShoup));
-            }
-        }
-        // (acc_q - conv) * P^-1 mod qi
-        const u64 pInv = ctx_->pInvModQ(i);
-        const u64 pInvShoup = qi.shoupPrecompute(pInv);
-        const Poly &src = acc.limb(i);
-        for (u64 k = 0; k < n; ++k) {
-            const u64 diff = subMod(src[k], dst[k], qi.value());
-            dst[k] = qi.mulShoup(diff, pInv, pInvShoup);
-        }
-    }
-    out.toEval();
+    const std::size_t n = ctx_->degree();
+    Workspace &ws = tlsWorkspace;
+    u64 *in = reserve(ws.in, limbs * n);
+    for (int i = 0; i < limbs; ++i)
+        std::copy(c.limb(i).data().begin(), c.limb(i).data().end(),
+                  in + i * n);
+    std::pair<RnsPoly, RnsPoly> out{ctx_->makePoly(limbs, PolyForm::Eval),
+                                    ctx_->makePoly(limbs, PolyForm::Eval)};
+    keySwitchStaged(*ctx_, ws, limbs, key, out.first, out.second);
     return out;
 }
 
@@ -305,18 +355,24 @@ CkksEvaluator::applyGalois(const Ciphertext &a, u64 k,
                            const EvalKey &galoisKey) const
 {
     // Permute both components, then switch sigma_k(c1) from sigma_k(s)
-    // back to s.
-    RnsPoly g0 = a.c0.automorphism(k);
-    RnsPoly g1 = a.c1.automorphism(k);
-
-    auto [d0, d1] = keySwitch(g1, galoisKey);
-    d0.addInPlace(g0);
+    // back to s: sigma_k(c0) is the output c0 the switch adds into, and
+    // sigma_k(c1) is staged straight into the workspace.
+    UFC_CHECK(a.c1.form() == PolyForm::Eval,
+              "Galois automorphisms expect an eval-form ciphertext");
+    const int limbs = a.limbs;
+    const std::size_t n = ctx_->degree();
+    Workspace &ws = tlsWorkspace;
+    u64 *in = reserve(ws.in, limbs * n);
 
     Ciphertext out;
-    out.c0 = std::move(d0);
-    out.c1 = std::move(d1);
-    out.limbs = a.limbs;
+    out.c0 = a.c0.automorphism(k);
+    out.c1 = ctx_->makePoly(limbs, PolyForm::Eval);
+    out.limbs = limbs;
     out.scale = a.scale;
+    parallelFor(limbs, [&](std::size_t i) {
+        automorphismEval(a.c1.limb(i).data().data(), in + i * n, n, k);
+    });
+    keySwitchStaged(*ctx_, ws, limbs, galoisKey, out.c0, out.c1);
     return out;
 }
 

@@ -7,6 +7,22 @@
  * automorphisms, conjugation and plaintext operations.  Key switching is
  * the hybrid dnum-digit variant: ModUp (per-digit base conversion to
  * Q x P), inner product with the evaluation key, then ModDown.
+ *
+ * Ciphertexts stay in evaluation form, and so does most of the work:
+ *   - ModUp runs an INTT on each input limb once; a digit's own limbs
+ *     are the eval-form input times a constant, and only the limbs
+ *     outside the digit go through BConv and an NTT.
+ *   - The key inner product sums every digit per coefficient in 128
+ *     bits and reduces once, reading the key limbs in place.
+ *   - ModDown runs an INTT on the K special limbs only, and rescale on
+ *     the last limb only; both subtract the NTT of the converted limbs
+ *     and scale by the dropped modulus' inverse in eval form.
+ * Every constant comes precomputed from CkksContext (ModUpPlan,
+ * DropPlan), the BConv is math/rns.h's BaseConverter, and temporaries
+ * live in a per-thread workspace that later calls reuse, so a warmed
+ * multiply, rescale or rotate allocates only its outputs.  Output words
+ * are the canonical residues of the textbook formulas, independent of
+ * the operation order and of the kernel thread count.
  */
 
 #ifndef UFC_CKKS_EVALUATOR_H
@@ -65,9 +81,6 @@ class CkksEvaluator
                                           const EvalKey &key) const;
 
   private:
-    /** ModDown: divide a Q x P poly by P, returning a q-basis poly. */
-    RnsPoly modDown(RnsPoly acc, int limbs) const;
-
     const CkksContext *ctx_;
 };
 

@@ -12,21 +12,6 @@ namespace ufc {
 namespace ckks {
 
 RnsPoly
-subPolyQp(const CkksContext *ctx, const RnsPoly &full, int limbs)
-{
-    const int L = ctx->levels();
-    const int K = ctx->specialLimbs();
-    UFC_CHECK(static_cast<int>(full.limbCount()) == L + K,
-              "expected a full Q x P poly");
-    RnsPoly out(ctx->ring(), ctx->qpBasis(limbs), full.form());
-    for (int i = 0; i < limbs; ++i)
-        out.limb(i) = full.limb(i);
-    for (int j = 0; j < K; ++j)
-        out.limb(limbs + j) = full.limb(L + j);
-    return out;
-}
-
-RnsPoly
 subPolyQ(const CkksContext *ctx, const RnsPoly &full, int limbs)
 {
     RnsPoly out(ctx->ring(), ctx->qBasis(limbs), full.form());

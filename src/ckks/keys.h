@@ -82,8 +82,6 @@ class CkksEncryptor
     Rng *rng_;
 };
 
-/** Select the q limbs [0, limbs) plus all special limbs of a full poly. */
-RnsPoly subPolyQp(const CkksContext *ctx, const RnsPoly &full, int limbs);
 /** Select only the q limbs [0, limbs) of a full poly. */
 RnsPoly subPolyQ(const CkksContext *ctx, const RnsPoly &full, int limbs);
 

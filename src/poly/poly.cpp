@@ -53,18 +53,6 @@ Poly::mulEvalInPlace(const Poly &other)
         coeffs_[i] = m.mul(coeffs_[i], other.coeffs_[i]);
 }
 
-void
-Poly::fmaEval(const Poly &a, const Poly &b)
-{
-    checkCompatible(a);
-    checkCompatible(b);
-    UFC_CHECK(isEval(), "fma requires Eval form");
-    const Modulus &m = table_->modulus();
-    const u64 q = m.value();
-    for (size_t i = 0; i < coeffs_.size(); ++i)
-        coeffs_[i] = addMod(coeffs_[i], m.mul(a.coeffs_[i], b.coeffs_[i]), q);
-}
-
 Poly
 Poly::automorphism(u64 k) const
 {
@@ -87,15 +75,21 @@ Poly::automorphism(u64 k) const
                     subMod(out.coeffs_[e - n], coeffs_[i], q);
         }
     } else {
-        // Evaluation points are psi^(2j+1); sigma_k(f)(psi^(2j+1)) =
-        // f(psi^((2j+1)k)) — a pure index permutation.
-        for (u64 j = 0; j < n; ++j) {
-            const u64 src =
-                ((static_cast<u128>(2 * j + 1) * k) % twoN - 1) / 2;
-            out.coeffs_[j] = coeffs_[src];
-        }
+        automorphismEval(coeffs_.data(), out.coeffs_.data(), n, k);
     }
     return out;
+}
+
+void
+automorphismEval(const u64 *in, u64 *out, u64 n, u64 k)
+{
+    // Evaluation points are psi^(2j+1); sigma_k(f)(psi^(2j+1)) =
+    // f(psi^((2j+1)k)).
+    const u64 twoN = 2 * n;
+    for (u64 j = 0; j < n; ++j) {
+        const u64 src = ((static_cast<u128>(2 * j + 1) * k) % twoN - 1) / 2;
+        out[j] = in[src];
+    }
 }
 
 namespace {

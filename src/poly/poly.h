@@ -84,8 +84,6 @@ class Poly
     void scaleInPlace(u64 scalar);
     /** this *= other, element-wise; both must be in Eval form. */
     void mulEvalInPlace(const Poly &other);
-    /** this += a * b, element-wise; all three must be in Eval form. */
-    void fmaEval(const Poly &a, const Poly &b);
 
     /**
      * Apply the Galois automorphism X -> X^k (k odd).  Works in either
@@ -127,6 +125,13 @@ class Poly
     PolyForm form_ = PolyForm::Coeff;
     std::vector<u64> coeffs_;
 };
+
+/**
+ * The automorphism X -> X^k (k odd) of n evaluation-form words: out[j] =
+ * in[((2j+1)k mod 2n - 1) / 2], a pure index permutation.  out must not
+ * alias in.
+ */
+void automorphismEval(const u64 *in, u64 *out, u64 n, u64 k);
 
 /** Full negacyclic product c = a * b through the NTT (inputs unchanged). */
 Poly negacyclicMul(const Poly &a, const Poly &b);

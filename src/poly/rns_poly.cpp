@@ -102,16 +102,6 @@ RnsPoly::mulEvalInPlace(const RnsPoly &other)
     });
 }
 
-void
-RnsPoly::fmaEval(const RnsPoly &a, const RnsPoly &b)
-{
-    UFC_CHECK(limbs_.size() == a.limbs_.size() &&
-              limbs_.size() == b.limbs_.size(), "limb count mismatch");
-    parallelFor(limbs_.size(), [&](size_t i) {
-        limbs_[i].fmaEval(a.limbs_[i], b.limbs_[i]);
-    });
-}
-
 RnsPoly
 RnsPoly::automorphism(u64 k) const
 {
@@ -136,33 +126,21 @@ RnsPoly::extendBasis(const std::vector<u64> &newModuli)
 {
     UFC_CHECK(form() == PolyForm::Coeff, "extendBasis requires Coeff form");
     const u64 n = degree();
-    RnsBasis from(moduli());
-    RnsBasis to(newModuli);
+    const size_t first = limbs_.size();
+    const BaseConverter conv(moduli(), newModuli);
 
-    std::vector<Poly> extra;
-    extra.reserve(newModuli.size());
-    for (u64 q : newModuli)
-        extra.emplace_back(&ctx_->table(q), PolyForm::Coeff);
-
-    // Base conversion is independent per coefficient; parallelize over
-    // coefficient blocks (blocks write disjoint ranges of every extra
-    // limb, so the result is thread-count invariant).
-    const u64 block = 512;
-    const u64 numBlocks = (n + block - 1) / block;
-    parallelFor(numBlocks, [&](size_t bi) {
-        std::vector<u64> residues(limbs_.size());
-        const u64 lo = bi * block;
-        const u64 hi = lo + block < n ? lo + block : n;
-        for (u64 c = lo; c < hi; ++c) {
-            for (size_t j = 0; j < limbs_.size(); ++j)
-                residues[j] = limbs_[j][c];
-            const std::vector<u64> conv = baseConvert(residues, from, to);
-            for (size_t i = 0; i < extra.size(); ++i)
-                extra[i][c] = conv[i];
-        }
+    // Scale every source limb once, then build each new limb from the
+    // scaled limbs; both steps write disjoint limbs, so the result is
+    // thread-count invariant.
+    std::vector<u64> scaled(first * n);
+    parallelFor(first, [&](size_t i) {
+        conv.scale(i, limbs_[i].data().data(), &scaled[i * n], n);
     });
-    for (auto &p : extra)
-        limbs_.push_back(std::move(p));
+    for (u64 q : newModuli)
+        limbs_.emplace_back(&ctx_->table(q), PolyForm::Coeff);
+    parallelFor(newModuli.size(), [&](size_t t) {
+        conv.convert(t, scaled.data(), limbs_[first + t].data().data(), n);
+    });
 }
 
 void

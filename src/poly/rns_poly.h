@@ -72,7 +72,6 @@ class RnsPoly
     /** Multiply by a single small integer (reduced per limb). */
     void scaleInPlace(u64 scalar);
     void mulEvalInPlace(const RnsPoly &other);
-    void fmaEval(const RnsPoly &a, const RnsPoly &b);
 
     RnsPoly automorphism(u64 k) const;
 
@@ -81,8 +80,8 @@ class RnsPoly
 
     /**
      * Append limbs for new moduli, each computed by base-converting the
-     * existing limbs — the ModUp half of hybrid key switching.  Requires
-     * coefficient form.
+     * existing limbs (BaseConverter) — the ModUp half of hybrid key
+     * switching.  Requires coefficient form.
      */
     void extendBasis(const std::vector<u64> &newModuli);
 

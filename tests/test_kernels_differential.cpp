@@ -9,20 +9,23 @@
  * require exact equality, and pin down the same contract between the
  * optimized NTT kernel tiers (AVX-512 IFMA / scalar Harvey) and the
  * reference kernels, between the division-free gadget decomposition and
- * its 128-bit-division oracle, and between concurrent and serial TFHE
- * bootstraps on one shared context.
+ * its 128-bit-division oracle, between the BConv kernel and its scalar
+ * oracle, and between concurrent and serial TFHE bootstraps and CKKS key
+ * switches on one shared context.
  */
 
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "ckks/evaluator.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "math/gadget.h"
 #include "math/ntt.h"
 #include "math/primes.h"
+#include "math/rns.h"
 #include "poly/rns_poly.h"
 #include "tfhe/gates.h"
 
@@ -66,7 +69,6 @@ runPipeline(u64 n, const std::vector<u64> &moduli,
     b.toEval();
     a.mulEvalInPlace(b);
     RnsPoly acc = a;
-    acc.fmaEval(a, b);
     acc.addInPlace(a);
     acc.subInPlace(b);
     acc.negInPlace();
@@ -231,6 +233,176 @@ TEST(KernelDifferential, TfheConcurrentBootstrapsMatchSerial)
         EXPECT_EQ(concurrent[i].a, serial[i].a) << "job " << i;
         EXPECT_EQ(concurrent[i].b, serial[i].b) << "job " << i;
     }
+}
+
+/** Every output word of a CKKS ciphertext, limb after limb. */
+std::vector<u64>
+ciphertextWords(const ckks::Ciphertext &ct)
+{
+    std::vector<u64> out;
+    for (const RnsPoly *p : {&ct.c0, &ct.c1})
+        for (size_t i = 0; i < p->limbCount(); ++i)
+            out.insert(out.end(), p->limb(i).data().begin(),
+                       p->limb(i).data().end());
+    return out;
+}
+
+TEST(KernelDifferential, CkksConcurrentKeySwitchesMatchSerial)
+{
+    // Multiplies, rescales, rotations and conjugations at several levels
+    // share one const context and one set of keys; their temporaries
+    // come from a per-thread workspace that each thread reuses across
+    // shapes.  Limb-parallel runs and concurrent runs (each thread
+    // inline, as a serve worker runs) must equal the serial outputs.
+    using namespace ckks;
+    KernelThreadsGuard guard;
+    const CkksContext ctx(CkksParams::testFast());
+    const CkksEncoder encoder(&ctx);
+    Rng rng(0x5e1f5eedULL);
+    const CkksKeyGenerator keygen(&ctx, rng);
+    const CkksEncryptor encryptor(&ctx, &keygen.secretKey(), rng);
+    const CkksEvaluator eval(&ctx);
+    const EvalKey relin = keygen.makeRelinKey();
+    const EvalKey rot = keygen.makeRotationKey(2);
+    const EvalKey conj = keygen.makeConjugationKey();
+    std::vector<double> va(ctx.slots()), vb(ctx.slots());
+    for (size_t i = 0; i < va.size(); ++i) {
+        va[i] = 0.25 + 0.001 * static_cast<double>(i % 37);
+        vb[i] = 0.8 - 0.002 * static_cast<double>(i % 41);
+    }
+    const Ciphertext a =
+        encryptor.encrypt(encoder.encode(va, ctx.levels(), ctx.scale()));
+    const Ciphertext b =
+        encryptor.encrypt(encoder.encode(vb, ctx.levels(), ctx.scale()));
+
+    constexpr size_t kJobs = 16;
+    constexpr size_t kThreads = 4;
+    const auto job = [&](size_t i) {
+        const int limbs = ctx.levels() - static_cast<int>(i % 5);
+        const Ciphertext x = eval.dropToLimbs(a, limbs);
+        const Ciphertext y = eval.dropToLimbs(b, limbs);
+        switch (i % 4) {
+        case 0:
+            return ciphertextWords(eval.multiply(x, y, relin));
+        case 1:
+            return ciphertextWords(eval.rescale(eval.multiply(x, y, relin)));
+        case 2:
+            return ciphertextWords(eval.rotate(x, 2, rot));
+        default:
+            return ciphertextWords(eval.conjugate(x, conj));
+        }
+    };
+
+    setKernelThreads(1);
+    std::vector<std::vector<u64>> serial(kJobs);
+    for (size_t i = 0; i < kJobs; ++i)
+        serial[i] = job(i);
+
+    setKernelThreads(3);
+    for (size_t i = 0; i < kJobs; ++i)
+        ASSERT_EQ(job(i), serial[i]) << "limb-parallel job " << i;
+
+    std::vector<std::vector<u64>> concurrent(kJobs);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const ThreadPool::WorkerScope inline_;
+            for (size_t i = t; i < kJobs; i += kThreads)
+                concurrent[i] = job(i);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (size_t i = 0; i < kJobs; ++i)
+        EXPECT_EQ(concurrent[i], serial[i]) << "concurrent job " << i;
+}
+
+TEST(KernelDifferential, BconvMatchesBaseConvertOracle)
+{
+    // The BConv kernel (one u128 sum and one Barrett reduction per
+    // target coefficient) against the term-by-term scalar oracle, over
+    // 30- to 60-bit moduli and 1 to 12 source limbs (C1's digit size),
+    // on residues 0, q-1 and random ones, with and without a folded
+    // per-limb factor.
+    const u64 n = 64;
+    Rng rng(0xbc0bc0ULL);
+    for (const auto &[fromBits, toBits] :
+         {std::pair{30, 30}, std::pair{40, 55}, std::pair{59, 45},
+          std::pair{60, 60}}) {
+        for (int m = 1; m <= 12; ++m) {
+            std::vector<u64> from, to;
+            for (int i = 0; i < m; ++i)
+                from.push_back(findNttPrime(fromBits, 2 * n, i));
+            const int skip = fromBits == toBits ? m : 0;
+            for (int j = 0; j < 4; ++j)
+                to.push_back(findNttPrime(toBits, 2 * n, skip + j));
+            std::vector<u64> fold(m);
+            for (int i = 0; i < m; ++i)
+                fold[i] = 1 + rng.uniform(from[i] - 1);
+
+            // Coefficient 0 is all zeros, 1 all q_i - 1, 2 alternates.
+            std::vector<u64> x(m * n);
+            for (int i = 0; i < m; ++i) {
+                for (u64 k = 0; k < n; ++k) {
+                    const u64 q = from[i];
+                    x[i * n + k] = k == 0   ? 0
+                                   : k == 1 ? q - 1
+                                   : k == 2 ? (i % 2 ? q - 1 : 0)
+                                            : rng.uniform(q);
+                }
+            }
+
+            const RnsBasis fromBasis(from), toBasis(to);
+            for (const bool folded : {false, true}) {
+                const BaseConverter conv(
+                    from, to, folded ? fold : std::vector<u64>{});
+                std::vector<u64> y(m * n), out(to.size() * n);
+                for (int i = 0; i < m; ++i)
+                    conv.scale(i, &x[i * n], &y[i * n], n);
+                for (size_t t = 0; t < to.size(); ++t)
+                    conv.convert(t, y.data(), &out[t * n], n);
+                std::vector<u64> residues(m);
+                for (u64 k = 0; k < n; ++k) {
+                    for (int i = 0; i < m; ++i) {
+                        const Modulus q(from[i]);
+                        residues[i] = folded ? q.mul(x[i * n + k], fold[i])
+                                             : x[i * n + k];
+                    }
+                    const auto expect =
+                        baseConvert(residues, fromBasis, toBasis);
+                    for (size_t t = 0; t < to.size(); ++t) {
+                        ASSERT_EQ(out[t * n + k], expect[t])
+                            << fromBits << "->" << toBits << " bits, "
+                            << m << " limbs, folded " << folded
+                            << ", coefficient " << k << ", target " << t;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelDifferential, BconvRejectsOverflowingAccumulator)
+{
+    // A 128-bit accumulator holds 256 products of residues below 2^60
+    // but not 257; BConv and the CKKS context refuse the wider sums.
+    const u64 top = 1ULL << 60;
+    EXPECT_TRUE(u128SumFits(256, top, top));
+    EXPECT_FALSE(u128SumFits(257, top, top));
+    const u64 q60 = findNttPrime(60, 1 << 10);
+    EXPECT_THROW({ const BaseConverter c(std::vector<u64>(257, q60), {q60}); },
+                 ConfigError);
+
+    ckks::CkksParams wide = ckks::CkksParams::testFast();
+    wide.levels = 257;
+    wide.dnum = 257;
+    wide.specialLimbs = 1;
+    wide.firstModBits = wide.scaleBits = wide.specialBits = 60;
+    EXPECT_THROW({ const ckks::CkksContext ctx(wide); }, ConfigError);
+    wide.dnum = 1; // alpha = K = 257 special limbs in one digit
+    wide.specialLimbs = 257;
+    EXPECT_THROW({ const ckks::CkksContext ctx(wide); }, ConfigError);
 }
 
 /**

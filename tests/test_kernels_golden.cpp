@@ -210,6 +210,15 @@ struct Fnv1a
         poly(ct.a);
         poly(ct.b);
     }
+
+    void
+    ckks(const ckks::Ciphertext &ct)
+    {
+        word(static_cast<u64>(ct.limbs));
+        for (const RnsPoly *p : {&ct.c0, &ct.c1})
+            for (size_t i = 0; i < p->limbCount(); ++i)
+                poly(p->limb(i));
+    }
 };
 
 TEST(KernelGolden, TfheBootstrapDigest)
@@ -270,6 +279,54 @@ TEST(KernelGolden, TfheBootstrapDigest)
     digest.lwe(lweSwitch.apply(sampleExtract(rlwe, 3)));
 
     EXPECT_EQ(digest.h, 0xeab22f846b6fed77ULL);
+}
+
+// ---------------------------------------------------------------------
+// CKKS hybrid key switching at CkksParams::testFast() (dnum 3) and
+// testDeep() (dnum 4): multiply with relinearization, rescale, rotate
+// and conjugate at every level, including the levels whose last digit
+// is partial, folded into one FNV-1a digest of the output words.  Any
+// change to ModUp, the key inner product, ModDown or rescale numerics
+// moves it; the decoded-slot checks above cannot see a changed word.
+// ---------------------------------------------------------------------
+
+TEST(KernelGolden, CkksKeySwitchDigest)
+{
+    using namespace ckks;
+    Fnv1a digest;
+    for (const CkksParams &params :
+         {CkksParams::testFast(), CkksParams::testDeep()}) {
+        const CkksContext ctx(params);
+        const CkksEncoder encoder(&ctx);
+        Rng rng(0x6b5ea1edULL);
+        const CkksKeyGenerator keygen(&ctx, rng);
+        const CkksEncryptor encryptor(&ctx, &keygen.secretKey(), rng);
+        const CkksEvaluator eval(&ctx);
+        const EvalKey relin = keygen.makeRelinKey();
+        const EvalKey rot = keygen.makeRotationKey(3);
+        const EvalKey conj = keygen.makeConjugationKey();
+
+        std::vector<double> va(ctx.slots()), vb(ctx.slots());
+        for (size_t i = 0; i < va.size(); ++i) {
+            va[i] = 0.75 - 0.003 * static_cast<double>(i % 101);
+            vb[i] = 0.5 + 0.002 * static_cast<double>(i % 83);
+        }
+        const Ciphertext a = encryptor.encrypt(
+            encoder.encode(va, ctx.levels(), ctx.scale()));
+        const Ciphertext b = encryptor.encrypt(
+            encoder.encode(vb, ctx.levels(), ctx.scale()));
+        for (int limbs = ctx.levels(); limbs >= 1; --limbs) {
+            const Ciphertext x = eval.dropToLimbs(a, limbs);
+            const Ciphertext y = eval.dropToLimbs(b, limbs);
+            const Ciphertext prod = eval.multiply(x, y, relin);
+            digest.ckks(prod);
+            if (limbs >= 2)
+                digest.ckks(eval.rescale(prod));
+            digest.ckks(eval.rotate(x, 3, rot));
+            digest.ckks(eval.conjugate(x, conj));
+        }
+    }
+    EXPECT_EQ(digest.h, 0x3a41d673535a5688ULL);
 }
 
 } // namespace
