@@ -5,13 +5,16 @@
  * primitives (external product, blind rotation, LWE key switch, gate and
  * programmable bootstrap).  A gate bootstrap is one blind rotation, one
  * sample extraction and one LWE key switch, so the two layer benches
- * split its time.  The CKKS multiply, rescale and rotate benches also
+ * split its time; a blind rotation is lweDim gadget products, and the
+ * gadget decompose, MAC and product benches split one of those (each
+ * labelled with the path that ran: `ifma` or `scalar`).  The CKKS multiply, rescale and rotate benches also
  * report `minflt`, the process's minor page faults per iteration: a
  * warmed op that reuses its temporaries should fault only for its
  * outputs.
  */
 
 #include <sys/resource.h>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -179,6 +182,89 @@ BM_TfheExternalProduct(benchmark::State &state)
     }
 }
 
+const char *
+pathLabel(bool ifma)
+{
+    return ifma ? "ifma" : "scalar";
+}
+
+/** Decompose one ring element: Gadget::decompose (dispatched:1) or its
+ *  scalar reference (dispatched:0). */
+void
+BM_TfheGadgetDecompose(benchmark::State &state)
+{
+    auto &b = tfheBench();
+    const bool dispatched = state.range(0) != 0;
+    const u64 n = b.params.ringDim;
+    const u64 *x = b.rlwe.a.data().data();
+    std::vector<u64> digits(n * static_cast<u64>(b.gadget.levels()));
+    for (auto _ : state) {
+        if (dispatched)
+            b.gadget.decompose(x, n, digits.data());
+        else
+            b.gadget.decomposeReference(x, n, digits.data());
+        benchmark::DoNotOptimize(digits.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(pathLabel(dispatched && b.gadget.decomposeUsesAvx512()));
+}
+
+/** The gadget product's MAC over the 2l RGSW rows of one external
+ *  product: Gadget::mac (dispatched:1) or its scalar reference
+ *  (dispatched:0). */
+void
+BM_TfheGadgetMac(benchmark::State &state)
+{
+    auto &b = tfheBench();
+    const bool dispatched = state.range(0) != 0;
+    const u64 n = b.params.ringDim;
+    const size_t count = b.rgsw.rows.size();
+    const size_t l = static_cast<size_t>(b.gadget.levels());
+    std::vector<u64> digits(count * n);
+    b.gadget.decompose(b.rlwe.a.data().data(), n, digits.data());
+    b.gadget.decompose(b.rlwe.b.data().data(), n, digits.data() + l * n);
+    for (size_t r = 0; r < count; ++r)
+        b.rlwe.a.table()->forward(digits.data() + r * n);
+    std::vector<Gadget::MacRow> rows;
+    for (const auto &row : b.rgsw.rows)
+        rows.push_back({row.a.data().data(), row.b.data().data()});
+    std::vector<u64> outA(n), outB(n);
+    for (auto _ : state) {
+        if (dispatched)
+            b.gadget.mac(digits.data(), rows.data(), count, n, outA.data(),
+                         outB.data());
+        else
+            b.gadget.macReference(digits.data(), rows.data(), count, n,
+                                  outA.data(), outB.data());
+        benchmark::DoNotOptimize(outA.data());
+        benchmark::DoNotOptimize(outB.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(pathLabel(dispatched && b.gadget.macUsesAvx512()));
+}
+
+/** One tfhe::gadgetProduct call, a blind-rotation step without the
+ *  rotation and the accumulate: decompose, 2l forward NTTs, MAC and two
+ *  inverse NTTs, into reused scratch and output. */
+void
+BM_TfheGadgetProduct(benchmark::State &state)
+{
+    auto &b = tfheBench();
+    const Poly *in[] = {&b.rlwe.a, &b.rlwe.b};
+    std::vector<u64> digits;
+    tfhe::RlweCiphertext out;
+    for (auto _ : state) {
+        tfhe::gadgetProduct(in, b.rgsw.rows.data(), b.gadget, digits, out);
+        benchmark::DoNotOptimize(&out);
+    }
+    const std::string label =
+        std::string("decompose=") +
+        pathLabel(b.gadget.decomposeUsesAvx512()) + " mac=" +
+        pathLabel(b.gadget.macUsesAvx512()) + " ntt=" +
+        pathLabel(b.rlwe.a.table()->usesAvx512());
+    state.SetLabel(label);
+}
+
 void
 BM_TfheBlindRotate(benchmark::State &state)
 {
@@ -233,6 +319,9 @@ BENCHMARK(BM_CkksMultiplyRelin);
 BENCHMARK(BM_CkksRescale);
 BENCHMARK(BM_CkksRotate);
 BENCHMARK(BM_TfheExternalProduct);
+BENCHMARK(BM_TfheGadgetDecompose)->ArgName("dispatched")->Arg(1)->Arg(0);
+BENCHMARK(BM_TfheGadgetMac)->ArgName("dispatched")->Arg(1)->Arg(0);
+BENCHMARK(BM_TfheGadgetProduct);
 BENCHMARK(BM_TfheBlindRotate);
 BENCHMARK(BM_TfheLweKeySwitch);
 BENCHMARK(BM_TfheGateBootstrap);

@@ -144,19 +144,11 @@ CkksContext::CkksContext(const CkksParams &params)
     }
 }
 
-std::vector<u64>
-CkksContext::qBasis(int limbs) const
+std::span<const NttTable *const>
+CkksContext::qTables(int limbs) const
 {
     UFC_CHECK(limbs >= 1 && limbs <= params_.levels, "bad limb count");
-    return {qChain_.begin(), qChain_.begin() + limbs};
-}
-
-std::vector<u64>
-CkksContext::qpBasis(int limbs) const
-{
-    auto basis = qBasis(limbs);
-    basis.insert(basis.end(), pChain_.begin(), pChain_.end());
-    return basis;
+    return std::span(qTables_).first(static_cast<std::size_t>(limbs));
 }
 
 int
@@ -191,13 +183,13 @@ CkksContext::qHatDigitMod(int d, u64 prime) const
 RnsPoly
 CkksContext::makePoly(int limbs, PolyForm form) const
 {
-    return RnsPoly(ring_.get(), qBasis(limbs), form);
+    return RnsPoly(ring_.get(), qTables(limbs), form);
 }
 
 RnsPoly
 CkksContext::makePolyQP(int limbs, PolyForm form) const
 {
-    return RnsPoly(ring_.get(), qpBasis(limbs), form);
+    return RnsPoly(ring_.get(), qTables(limbs), form, pTables_);
 }
 
 } // namespace ckks

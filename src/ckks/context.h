@@ -13,6 +13,7 @@
 #define UFC_CKKS_CONTEXT_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ckks/params.h"
@@ -74,10 +75,8 @@ class CkksContext
     const std::vector<u64> &qChain() const { return qChain_; }
     const std::vector<u64> &pChain() const { return pChain_; }
 
-    /** Moduli q_0..q_{limbs-1}. */
-    std::vector<u64> qBasis(int limbs) const;
-    /** Moduli q_0..q_{limbs-1} followed by all special primes. */
-    std::vector<u64> qpBasis(int limbs) const;
+    /** NTT tables of q_0..q_{limbs-1}. */
+    std::span<const NttTable *const> qTables(int limbs) const;
 
     /** Number of key-switching digits active for a given limb count. */
     int digitsForLimbs(int limbs) const;

@@ -14,7 +14,7 @@ namespace ckks {
 RnsPoly
 subPolyQ(const CkksContext *ctx, const RnsPoly &full, int limbs)
 {
-    RnsPoly out(ctx->ring(), ctx->qBasis(limbs), full.form());
+    RnsPoly out = ctx->makePoly(limbs, full.form());
     for (int i = 0; i < limbs; ++i)
         out.limb(i) = full.limb(i);
     return out;

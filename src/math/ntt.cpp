@@ -2,7 +2,7 @@
  * @file
  * Iterative negacyclic NTT implementation: table construction, scalar
  * Harvey lazy-reduction kernels, reference kernels, and dispatch to the
- * AVX-512 IFMA kernels in math/ntt_avx512.cpp.
+ * AVX-512 IFMA kernels in math/avx512_ifma.cpp.
  */
 
 #include "math/ntt.h"

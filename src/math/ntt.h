@@ -61,7 +61,7 @@ namespace detail {
 /**
  * Raw-pointer view of one NttTable's precomputation, the interface
  * between NttTable and the SIMD kernel translation unit
- * (math/ntt_avx512.cpp), which is compiled with AVX-512 flags and must
+ * (math/avx512_ifma.cpp), which is compiled with AVX-512 flags and must
  * not be entered on machines without the feature.
  */
 struct NttKernelView

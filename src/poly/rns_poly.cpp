@@ -34,6 +34,18 @@ RnsPoly::RnsPoly(const RingContext *ctx, const std::vector<u64> &moduli,
         limbs_.emplace_back(&ctx->table(q), form);
 }
 
+RnsPoly::RnsPoly(const RingContext *ctx,
+                 std::span<const NttTable *const> tables, PolyForm form,
+                 std::span<const NttTable *const> more)
+    : ctx_(ctx)
+{
+    limbs_.reserve(tables.size() + more.size());
+    for (const NttTable *t : tables)
+        limbs_.emplace_back(t, form);
+    for (const NttTable *t : more)
+        limbs_.emplace_back(t, form);
+}
+
 std::vector<u64>
 RnsPoly::moduli() const
 {

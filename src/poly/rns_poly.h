@@ -11,6 +11,7 @@
 #ifndef UFC_POLY_RNS_POLY_H
 #define UFC_POLY_RNS_POLY_H
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,6 +50,14 @@ class RnsPoly
     /** Zero polynomial over the given moduli. */
     RnsPoly(const RingContext *ctx, const std::vector<u64> &moduli,
             PolyForm form);
+
+    /**
+     * Zero polynomial whose limbs use `tables` followed by `more` (a QP
+     * basis is the first q limbs, then P), for callers that already hold
+     * the tables: no basis vector, no table-cache lookup.
+     */
+    RnsPoly(const RingContext *ctx, std::span<const NttTable *const> tables,
+            PolyForm form, std::span<const NttTable *const> more = {});
 
     u64 degree() const { return ctx_->degree(); }
     size_t limbCount() const { return limbs_.size(); }

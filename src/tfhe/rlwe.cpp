@@ -5,6 +5,8 @@
 
 #include "tfhe/rlwe.h"
 
+#include <array>
+
 #include "common/check.h"
 
 namespace ufc {
@@ -127,9 +129,9 @@ gadgetProduct(std::span<const Poly *const> in, const RlweCiphertext *rows,
               const Gadget &gadget, std::vector<u64> &digits,
               RlweCiphertext &out)
 {
-    UFC_CHECK(!in.empty(), "gadget product needs an input");
+    UFC_CHECK(!in.empty() && in.size() <= 2,
+              "gadget product takes one or two RLWE components");
     const NttTable *table = in[0]->table();
-    const Modulus &mod = table->modulus();
     const u64 n = table->degree();
     const size_t l = static_cast<size_t>(gadget.levels());
     const size_t count = in.size() * l;
@@ -145,25 +147,22 @@ gadgetProduct(std::span<const Poly *const> in, const RlweCiphertext *rows,
     for (size_t r = 0; r < count; ++r)
         table->forward(digits.data() + r * n);
 
-    // EWMM + EWMA, one reduction per output coefficient.  The 128-bit
-    // sums cannot wrap: q < 2^60 (Modulus) and count <= 2 * 63 (B^l <
-    // 2^64 with B >= 2, Gadget) bound them by 126 * 2^120.
+    // EWMM + EWMA against the key rows, read in place, with one reduction
+    // per output coefficient (Gadget::mac).  The scalar loop sums each
+    // coefficient in 128 bits: q < 2^60 and count <= 2 * 63 bound the sum
+    // by 126 * 2^120.  The IFMA kernel (q < 2^32) splits each product
+    // into a 52-bit low half and a high half below 2^12 and sums them in
+    // two 64-bit lanes, below 126 * 2^52 and 126 * 2^12.
     for (Poly *p : {&out.a, &out.b}) {
         if (p->table() != table || p->form() != PolyForm::Coeff)
             *p = Poly(table, PolyForm::Coeff);
     }
+    std::array<Gadget::MacRow, Gadget::kMaxMacRows> macRows;
+    for (size_t r = 0; r < count; ++r)
+        macRows[r] = {rows[r].a.data().data(), rows[r].b.data().data()};
     u64 *outA = out.a.data().data();
     u64 *outB = out.b.data().data();
-    for (u64 c = 0; c < n; ++c) {
-        u128 accA = 0, accB = 0;
-        for (size_t r = 0; r < count; ++r) {
-            const u64 d = digits[r * n + c];
-            accA += static_cast<u128>(d) * rows[r].a[c];
-            accB += static_cast<u128>(d) * rows[r].b[c];
-        }
-        outA[c] = mod.reduce(accA);
-        outB[c] = mod.reduce(accB);
-    }
+    gadget.mac(digits.data(), macRows.data(), count, n, outA, outB);
     // The sums are evaluation-form values in coefficient-form storage
     // until the inverse transforms below.
     table->inverse(outA);

@@ -81,8 +81,10 @@ RgswCiphertext rgswEncrypt(const Poly &m, const RlweSecretKey &key,
  *
  *     out = sum_k sum_i Decomp_i(in[k]) * rows[k * l + i]
  *
- * `in` are coefficient-form polynomials of one ring; `rows` holds
- * in.size() * l evaluation-form rows; `out` ends in coefficient form.
+ * `in` are one or two coefficient-form polynomials of one ring; `rows`
+ * holds in.size() * l evaluation-form rows; `out` ends in coefficient
+ * form.  Decomp and EWMM/EWMA run on Gadget's IFMA kernels where they
+ * apply and on its scalar loops elsewhere, with the same output words.
  * `digits` is caller-owned scratch, grown on first use, so a loop over
  * gadget products allocates nothing.
  */

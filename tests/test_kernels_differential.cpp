@@ -8,8 +8,9 @@
  * pipeline of polynomial operations under several kernel-pool sizes and
  * require exact equality, and pin down the same contract between the
  * optimized NTT kernel tiers (AVX-512 IFMA / scalar Harvey) and the
- * reference kernels, between the division-free gadget decomposition and
- * its 128-bit-division oracle, between the BConv kernel and its scalar
+ * reference kernels, between the gadget decomposition (IFMA and scalar)
+ * and its 128-bit-division oracle, between the gadget product's IFMA MAC
+ * and its scalar loop, between the BConv kernel and its scalar
  * oracle, and between concurrent and serial TFHE bootstraps and CKKS key
  * switches on one shared context.
  */
@@ -431,15 +432,20 @@ wideDecompose(u64 q, int logBase, int levels, u64 x, u64 *digits)
     }
 }
 
-TEST(KernelDifferential, GadgetDecomposeMatchesWideOracle)
+struct GadgetConfig
 {
-    struct Config
-    {
-        u64 q;
-        int logBase, levels;
-    };
-    std::vector<Config> configs;
-    // Bootstrapping and LWE key-switching gadgets of every TFHE set.
+    u64 q;
+    int logBase, levels;
+};
+
+/** The gadgets the library and its tests build: the bootstrapping and LWE
+ *  key-switching gadgets of every TFHE set, the property-sweep grid, the
+ *  external-product sweep and the ring-packing gadgets (hybrid kNN,
+ *  RingPacker tests). */
+std::vector<GadgetConfig>
+libraryGadgets()
+{
+    std::vector<GadgetConfig> configs;
     for (const auto &p :
          {tfhe::TfheParams::t1(), tfhe::TfheParams::t2(),
           tfhe::TfheParams::t3(), tfhe::TfheParams::t4(),
@@ -447,8 +453,6 @@ TEST(KernelDifferential, GadgetDecomposeMatchesWideOracle)
         configs.push_back({p.q, p.gadgetLogBase, p.gadgetLevels});
         configs.push_back({p.q, p.ksLogBase, p.ksLevels});
     }
-    // The property-sweep grid, the external-product sweep and the ring
-    // packing gadget (hybrid kNN, RingPacker tests).
     const u64 q11 = findNttPrime(32, 1 << 11);
     const u64 qFast = tfhe::TfheParams::testFast().q;
     for (const auto &[lb, l] : {std::pair{2, 8}, std::pair{4, 6},
@@ -460,34 +464,237 @@ TEST(KernelDifferential, GadgetDecomposeMatchesWideOracle)
     configs.push_back({findNttPrime(32, 8192), 8, 3});
     configs.push_back({findNttPrime(32, 4096), 8, 3});
     configs.push_back({findNttPrime(32, 1 << 12), 4, 6});
+    return configs;
+}
 
-    Rng rng(0xdec0de);
-    for (const Config &cfg : configs) {
-        const Gadget g(cfg.q, cfg.logBase, cfg.levels);
-        const u64 q = cfg.q;
-        std::vector<u64> xs{0,         1,     q / 2 - 1, q / 2,
-                            q / 2 + 1, q - 2, q - 1};
-        const size_t edges = xs.size();
-        xs.reserve(edges + 100000);
-        for (int i = 0; i < 100000; ++i)
-            xs.push_back(rng.uniform(q));
-
-        const size_t l = static_cast<size_t>(cfg.levels);
-        std::vector<u64> batch(l * xs.size());
-        g.decompose(xs.data(), xs.size(), batch.data());
-        std::vector<u64> expect(l), single(l);
-        for (size_t c = 0; c < xs.size(); ++c) {
-            wideDecompose(q, cfg.logBase, cfg.levels, xs[c], expect.data());
+/** Check decompose() and decomposeReference() of `g` against the wide
+ *  oracle on xs, over the full batch and over the leading `counts`. */
+void
+checkDecomposeAgainstOracle(const Gadget &g, u64 q,
+                            const std::vector<u64> &xs, size_t edges,
+                            std::initializer_list<size_t> counts)
+{
+    const size_t l = static_cast<size_t>(g.levels());
+    std::vector<u64> expect(l * xs.size());
+    for (size_t c = 0; c < xs.size(); ++c) {
+        u64 one[Gadget::kMaxLevels];
+        wideDecompose(q, g.logBase(), g.levels(), xs[c], one);
+        for (size_t i = 0; i < l; ++i)
+            expect[i * xs.size() + c] = one[i];
+    }
+    std::vector<u64> batch(l * xs.size()), ref(l * xs.size());
+    g.decompose(xs.data(), xs.size(), batch.data());
+    g.decomposeReference(xs.data(), xs.size(), ref.data());
+    for (size_t c = 0; c < xs.size(); ++c) {
+        for (size_t i = 0; i < l; ++i) {
+            const size_t at = i * xs.size() + c;
+            ASSERT_EQ(batch[at], expect[at])
+                << "q=" << q << " B=2^" << g.logBase() << " l="
+                << g.levels() << " x=" << xs[c] << " digit " << i;
+            ASSERT_EQ(ref[at], expect[at])
+                << "reference: q=" << q << " x=" << xs[c] << " digit "
+                << i;
+        }
+    }
+    std::vector<u64> single(l), expectOne(l);
+    for (size_t c = 0; c < edges; ++c) {
+        for (size_t i = 0; i < l; ++i)
+            expectOne[i] = expect[i * xs.size() + c];
+        g.decompose(&xs[c], 1, single.data());
+        ASSERT_EQ(single, expectOne) << "x=" << xs[c];
+        g.decomposeReference(&xs[c], 1, single.data());
+        ASSERT_EQ(single, expectOne) << "reference: x=" << xs[c];
+    }
+    // Counts that leave a scalar tail after the 8-value vector blocks.
+    for (size_t count : counts) {
+        ASSERT_LE(count, xs.size());
+        std::vector<u64> part(l * count), partRef(l * count);
+        g.decompose(xs.data(), count, part.data());
+        g.decomposeReference(xs.data(), count, partRef.data());
+        for (size_t c = 0; c < count; ++c) {
             for (size_t i = 0; i < l; ++i) {
-                ASSERT_EQ(batch[i * xs.size() + c], expect[i])
-                    << "q=" << q << " B=2^" << cfg.logBase
-                    << " l=" << cfg.levels << " x=" << xs[c]
-                    << " digit " << i;
+                ASSERT_EQ(part[i * count + c], expect[i * xs.size() + c])
+                    << "count " << count << " x=" << xs[c] << " digit "
+                    << i;
+                ASSERT_EQ(partRef[i * count + c], part[i * count + c])
+                    << "reference: count " << count << " x=" << xs[c];
             }
-            if (c < edges) {
-                g.decompose(&xs[c], 1, single.data());
-                ASSERT_EQ(single, expect) << "x=" << xs[c];
+        }
+    }
+}
+
+/** q's edge values, the x whose scaled value (x << logBase*l) + q/2
+ *  lies within 64 of a multiple of q (where a quotient estimate is off
+ *  by one if anywhere), then `randoms` uniform draws.  q must be prime. */
+std::vector<u64>
+decomposeInputs(const Gadget &g, u64 q, Rng &rng, int randoms,
+                size_t *edges)
+{
+    std::vector<u64> xs{0, 1, q / 2 - 1, q / 2, q / 2 + 1, q - 2, q - 1};
+    const Modulus mod(q);
+    const u64 unscale = mod.inv(mod.pow(2, g.logBase() * g.levels()));
+    for (i64 r = -64; r <= 64; ++r) {
+        const u64 num = (q + static_cast<u64>(r)) % q; // r mod q
+        xs.push_back(mod.mul(mod.sub(num, q / 2), unscale));
+    }
+    *edges = xs.size();
+    for (int i = 0; i < randoms; ++i)
+        xs.push_back(rng.uniform(q));
+    return xs;
+}
+
+TEST(KernelDifferential, GadgetDecomposeMatchesWideOracle)
+{
+    Rng rng(0xdec0de);
+    for (const GadgetConfig &cfg : libraryGadgets()) {
+        const Gadget g(cfg.q, cfg.logBase, cfg.levels);
+        size_t edges = 0;
+        const auto xs = decomposeInputs(g, cfg.q, rng, 100000, &edges);
+        checkDecomposeAgainstOracle(g, cfg.q, xs, edges, {1, 7, 9, 513});
+    }
+}
+
+/** Inputs for Gadget::mac over `rowCount` rows of n coefficients: the
+ *  first 27 coefficients take every combination of 0, 1 and q-1 for the
+ *  digit, the a word and the b word (each the same in every row, so q-1
+ *  everywhere sums the largest products), the rest uniform draws until
+ *  aimAt() rewrites some. */
+struct MacInputs
+{
+    std::vector<u64> digits;
+    std::vector<std::vector<u64>> a, b;
+    std::vector<Gadget::MacRow> rows;
+
+    MacInputs(u64 q, size_t rowCount, size_t n, Rng &rng)
+        : digits(rowCount * n), a(rowCount, std::vector<u64>(n)),
+          b(rowCount, std::vector<u64>(n))
+    {
+        const u64 edge[] = {0, 1, q - 1};
+        for (size_t r = 0; r < rowCount; ++r) {
+            for (size_t c = 0; c < n; ++c) {
+                const bool fixed = c < 27;
+                digits[r * n + c] = fixed ? edge[c % 3] : rng.uniform(q);
+                a[r][c] = fixed ? edge[c / 3 % 3] : rng.uniform(q);
+                b[r][c] = fixed ? edge[c / 9] : rng.uniform(q);
             }
+            rows.push_back({a[r].data(), b[r].data()});
+        }
+    }
+
+    static constexpr size_t kAimed = 27, kAimedSpan = 17;
+
+    /** Make coefficients kAimed + j, j < kAimedSpan, sum to j - 8 mod q
+     *  over the first `count` rows: fresh draws in rows below count - 1,
+     *  whose digit becomes q - 1 and whose words make up the difference.
+     *  A large sum near a multiple of q is where a quotient estimate is
+     *  off by one if anywhere. */
+    void
+    aimAt(const Modulus &mod, size_t count, size_t n, Rng &rng)
+    {
+        const u64 q = mod.value();
+        const size_t last = count - 1;
+        for (size_t j = 0; j < kAimedSpan && kAimed + j < n; ++j) {
+            const size_t c = kAimed + j;
+            const u64 target = (q + j - 8) % q;
+            u64 sumA = 0, sumB = 0;
+            for (size_t r = 0; r < last; ++r) {
+                digits[r * n + c] = rng.uniform(q);
+                a[r][c] = rng.uniform(q);
+                b[r][c] = rng.uniform(q);
+                sumA = mod.add(sumA, mod.mul(digits[r * n + c], a[r][c]));
+                sumB = mod.add(sumB, mod.mul(digits[r * n + c], b[r][c]));
+            }
+            digits[last * n + c] = q - 1;
+            a[last][c] = mod.sub(sumA, target);
+            b[last][c] = mod.sub(sumB, target);
+        }
+    }
+};
+
+TEST(KernelDifferential, GadgetProductMatchesScalarReference)
+{
+    if (!detail::avx512IfmaAvailable())
+        GTEST_SKIP() << "no AVX-512 IFMA on this host: mac() and "
+                        "decompose() run the scalar reference itself";
+    // Besides the library's gadgets, narrower moduli inside the kernel's
+    // range.  For every library modulus the folded sum stays below
+    // 2^52 + 2^39, where its quotient estimate is exact even for sums
+    // within 3 of a multiple of q; for these 26- and 31-bit primes it is
+    // one too big for many multiples of q, so only they exercise the
+    // final correction.  q = 97 is near the range's floor.
+    auto configs = libraryGadgets();
+    configs.push_back({97, 2, 3});
+    configs.push_back({findNttPrime(26, 1 << 11), 4, 4});
+    configs.push_back({findNttPrime(31, 1 << 11), 8, 3});
+    Rng rng(0x3ac);
+    for (const GadgetConfig &cfg : configs) {
+        const Gadget g(cfg.q, cfg.logBase, cfg.levels);
+        ASSERT_TRUE(g.macUsesAvx512()) << "q=" << cfg.q;
+        ASSERT_TRUE(g.decomposeUsesAvx512()) << "q=" << cfg.q;
+        const Modulus mod(cfg.q);
+        const size_t maxRows = 2 * static_cast<size_t>(cfg.levels);
+        for (size_t n : {16, 27, 64, 512, 1024, 2048, 16384}) {
+            MacInputs in(cfg.q, maxRows, n, rng);
+            std::vector<u64> outA(n), outB(n), refA(n), refB(n);
+            for (size_t count = 1; count <= maxRows; ++count) {
+                in.aimAt(mod, count, n, rng);
+                g.mac(in.digits.data(), in.rows.data(), count, n,
+                      outA.data(), outB.data());
+                g.macReference(in.digits.data(), in.rows.data(), count, n,
+                               refA.data(), refB.data());
+                for (size_t c = 0; c < n; ++c) {
+                    ASSERT_EQ(outA[c], refA[c])
+                        << "q=" << cfg.q << " B=2^" << cfg.logBase
+                        << " l=" << cfg.levels << " n=" << n
+                        << " count=" << count << " coefficient " << c;
+                    ASSERT_EQ(outB[c], refB[c])
+                        << "q=" << cfg.q << " n=" << n
+                        << " count=" << count << " coefficient " << c;
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelDifferential, GadgetKernelsFallBackOutsideIfmaRange)
+{
+    // logBase * levels = 50 > kIfmaDecomposeMaxBits: scalar decompose on
+    // every host, still equal to the oracle.
+    Rng rng(0xfa11);
+    const u64 q14 = 12289;
+    const Gadget deep(q14, 1, 50);
+    EXPECT_FALSE(deep.decomposeUsesAvx512());
+    size_t edges = 0;
+    const auto xs = decomposeInputs(deep, q14, rng, 2000, &edges);
+    checkDecomposeAgainstOracle(deep, q14, xs, edges, {1, 7, 9, 513});
+
+    // A 40-bit q is past kIfmaMacModulusBound: the MAC stays scalar, and
+    // both entry points match a term-by-term modular sum.
+    const u64 q40 = findNttPrime(40, 1 << 11);
+    const Gadget wide(q40, 4, 3);
+    EXPECT_FALSE(wide.macUsesAvx512());
+    EXPECT_EQ(wide.decomposeUsesAvx512(), detail::avx512IfmaAvailable());
+    const Modulus mod(q40);
+    const size_t n = 64;
+    const MacInputs in(q40, 6, n, rng);
+    std::vector<u64> outA(n), outB(n), refA(n), refB(n);
+    for (size_t count = 1; count <= 6; ++count) {
+        wide.mac(in.digits.data(), in.rows.data(), count, n, outA.data(),
+                 outB.data());
+        wide.macReference(in.digits.data(), in.rows.data(), count, n,
+                          refA.data(), refB.data());
+        for (size_t c = 0; c < n; ++c) {
+            u64 sumA = 0, sumB = 0;
+            for (size_t r = 0; r < count; ++r) {
+                sumA = mod.add(sumA, mod.mul(in.digits[r * n + c],
+                                             in.a[r][c]));
+                sumB = mod.add(sumB, mod.mul(in.digits[r * n + c],
+                                             in.b[r][c]));
+            }
+            ASSERT_EQ(outA[c], sumA) << "count " << count << " c " << c;
+            ASSERT_EQ(outB[c], sumB) << "count " << count << " c " << c;
+            ASSERT_EQ(refA[c], sumA) << "count " << count << " c " << c;
+            ASSERT_EQ(refB[c], sumB) << "count " << count << " c " << c;
         }
     }
 }
