@@ -15,6 +15,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -68,66 +69,87 @@ resetPeakLivePrograms()
                             std::memory_order_relaxed);
 }
 
+template <typename Same>
+std::size_t
+ProgramBuilder::FlatIndex::probe(u64 hash, Same &&same) const
+{
+    const std::size_t mask = cells_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (cells_[i] != 0 && !same(cells_[i] - 1))
+        i = (i + 1) & mask;
+    return i;
+}
+
+template <typename Same, typename Rehash>
+u32
+ProgramBuilder::FlatIndex::findOrAdd(u64 hash, u32 size, Same &&same,
+                                     Rehash &&rehash)
+{
+    std::size_t i = probe(hash, same);
+    if (cells_[i] != 0)
+        return cells_[i] - 1;
+    if (2 * (static_cast<std::size_t>(size) + 1) > cells_.size()) {
+        const auto none = [](u32) { return false; };
+        std::vector<u32> grown(2 * cells_.size(), 0);
+        cells_.swap(grown);
+        --shift_;
+        for (u32 k = 0; k < size; ++k)
+            cells_[probe(rehash(k), none)] = k + 1;
+        i = probe(hash, none);
+    }
+    cells_[i] = size + 1;
+    return size;
+}
+
 ProgramBuilder::ProgramBuilder(Program *out)
     : out_(out), code_(out->code.edit()), bufs_(out->bufs.edit()),
       events_(out->phaseEvents.edit()), shapes_(out->shapes.edit()),
-      shapeIdx_(512, 0)
+      slotIdx_(6), shapeIdx_(9), phaseIdx_(5)
 {
-}
-
-u32
-ProgramBuilder::slotFor(u64 id)
-{
-    const auto it = slots_.find(id);
-    if (it != slots_.end())
-        return it->second;
-    const u32 slot = static_cast<u32>(slots_.size());
-    slots_.emplace(id, slot);
-    return slot;
+    // Each array starts with room for what its index holds before the
+    // index first doubles, so small bodies intern without a regrowth.
+    slotIds_.reserve(slotIdx_.capacity());
+    shapes_.reserve(shapeIdx_.capacity());
+    out_->phaseNames.edit().reserve(phaseIdx_.capacity());
 }
 
 namespace {
 
+/** Distinct shapes give distinct words (up to rare collisions, which
+ *  cost a probe); FlatIndex does the mixing. */
 u64
 shapeHash(const CostShape &s)
 {
-    u64 h = trace::detail::kFnvOffset;
-    trace::detail::mix64(h, std::bit_cast<u64>(s.staticFetchBytes));
-    trace::detail::mix64(h, s.words ^ (s.work << 1));
-    trace::detail::mix64(h, (static_cast<u64>(s.logDegree) << 40) ^
-                                (static_cast<u64>(s.batch) << 8) ^ s.op);
-    return h;
+    return std::bit_cast<u64>(s.staticFetchBytes) ^ std::rotl(s.words, 17) ^
+           std::rotl(s.work, 34) ^ (static_cast<u64>(s.logDegree) << 56) ^
+           (static_cast<u64>(s.batch) << 8) ^ s.op;
 }
 
 } // namespace
 
 u32
+ProgramBuilder::slotFor(u64 id)
+{
+    const u32 slot = slotIdx_.findOrAdd(
+        id, static_cast<u32>(slotIds_.size()),
+        [&](u32 k) { return slotIds_[k] == id; },
+        [&](u32 k) { return slotIds_[k]; });
+    if (slot == slotIds_.size())
+        slotIds_.push_back(id);
+    return slot;
+}
+
+u32
 ProgramBuilder::shapeFor(const CostShape &shape)
 {
-    // Runs once per issued instruction against a table of a few hundred
-    // shapes: open addressing over a flat array keeps it a hash and one
-    // or two compares.
-    size_t mask = shapeIdx_.size() - 1;
-    size_t i = static_cast<size_t>(shapeHash(shape)) & mask;
-    while (shapeIdx_[i] != 0) {
-        if (shapes_[shapeIdx_[i] - 1] == shape)
-            return shapeIdx_[i] - 1;
-        i = (i + 1) & mask;
-    }
-    const u32 id = static_cast<u32>(shapes_.size());
-    shapes_.push_back(shape);
-    shapeIdx_[i] = id + 1;
-    if (2 * shapes_.size() > shapeIdx_.size()) {
-        std::vector<u32> grown(2 * shapeIdx_.size(), 0);
-        mask = grown.size() - 1;
-        for (u32 k = 0; k < shapes_.size(); ++k) {
-            size_t j = static_cast<size_t>(shapeHash(shapes_[k])) & mask;
-            while (grown[j] != 0)
-                j = (j + 1) & mask;
-            grown[j] = k + 1;
-        }
-        shapeIdx_.swap(grown);
-    }
+    // Runs once per issued instruction against a few hundred shapes.
+    const u32 id = shapeIdx_.findOrAdd(
+        shapeHash(shape), static_cast<u32>(shapes_.size()),
+        [&](u32 k) { return shapes_[k] == shape; },
+        [&](u32 k) { return shapeHash(shapes_[k]); });
+    if (id == shapes_.size())
+        shapes_.push_back(shape);
     return id;
 }
 
@@ -193,20 +215,35 @@ ProgramBuilder::issue(const isa::HwInst &inst)
     code_.push_back(b);
 }
 
+u32
+ProgramBuilder::phaseIndex(const char *name)
+{
+    const std::string_view key = name ? name : "";
+    const auto ptr = reinterpret_cast<std::uintptr_t>(key.data());
+    PhaseHint &hint = phaseHints_[static_cast<std::size_t>(
+        (ptr * 0x9e3779b97f4a7c15ULL) >> (64 - kPhaseHintBits))];
+    if (hint.name == ptr && out_->phaseNames[hint.idx] == key)
+        return hint.idx;
+
+    const auto nameHash = [](std::string_view s) {
+        return static_cast<u64>(std::hash<std::string_view>{}(s));
+    };
+    const SharedArray<std::string> &names = out_->phaseNames;
+    const u32 idx = phaseIdx_.findOrAdd(
+        nameHash(key), static_cast<u32>(names.size()),
+        [&](u32 k) { return names[k] == key; },
+        [&](u32 k) { return nameHash(names[k]); });
+    if (idx == names.size())
+        out_->phaseNames.edit().emplace_back(key);
+    hint = PhaseHint{ptr, idx};
+    return idx;
+}
+
 void
 ProgramBuilder::beginPhase(const char *name)
 {
-    const std::string key(name ? name : "");
-    u32 idx;
-    const auto it = phaseNameIdx_.find(key);
-    if (it != phaseNameIdx_.end()) {
-        idx = it->second;
-    } else {
-        idx = static_cast<u32>(out_->phaseNames.size());
-        out_->phaseNames.edit().push_back(key);
-        phaseNameIdx_.emplace(key, idx);
-    }
-    events_.push_back(PhaseEvent{code_.size(), static_cast<i32>(idx)});
+    events_.push_back(
+        PhaseEvent{code_.size(), static_cast<i32>(phaseIndex(name))});
 }
 
 void
@@ -276,22 +313,24 @@ ProgramBuilder::finish()
     if (finished_)
         return;
     finished_ = true;
-    out_->spadSlots = static_cast<u32>(slots_.size());
+    out_->spadSlots = static_cast<u32>(slotIds_.size());
 }
 
 namespace {
 
-/** Sizing pre-pass: counts the records the real lowering will emit so
- *  the body's vectors can be reserved exactly.  It costs host time (a
- *  second lowering) but pays in memory: growth by doubling would leave
- *  spare capacity in every body, and perfbench's ckks_dse sweep peaks at
- *  about 28 MB RSS without the pass against about 20 MB with it.
- *  Accepts repeat folds like the builder, so folded bodies are counted
- *  once. */
+/** Sizing pre-pass: counts the records, operands and phase events the
+ *  real lowering will emit so the body's vectors can be reserved
+ *  exactly.  It costs host time (a second lowering, about 5 ns per
+ *  record, since emitting touches no heap) but pays in memory: growth
+ *  by doubling would leave spare capacity in every body, and
+ *  perfbench's ckks_dse sweep peaks at about 28 MB RSS without the pass
+ *  against about 20 MB with it.  Accepts repeat folds like the
+ *  builder, so folded bodies are counted once. */
 struct SizingSink final : isa::InstSink
 {
     u64 insts = 0;
     u64 bufs = 0;
+    u64 events = 0;
 
     void
     issue(const isa::HwInst &inst) override
@@ -314,6 +353,8 @@ struct SizingSink final : isa::InstSink
             ++bufs;
         }
     }
+    void beginPhase(const char *) override { ++events; }
+    void endPhase() override { ++events; }
     bool beginRepeat(u64) override { return true; }
 };
 
@@ -388,6 +429,7 @@ compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
         presize.run();
         p.code.edit().reserve(sizing.insts);
         p.bufs.edit().reserve(sizing.bufs);
+        p.phaseEvents.edit().reserve(sizing.events);
     }
     ProgramBuilder builder(&p);
     LoweringOptions lopts = opts;

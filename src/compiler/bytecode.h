@@ -43,13 +43,14 @@
 #ifndef UFC_COMPILER_BYTECODE_H
 #define UFC_COMPILER_BYTECODE_H
 
+#include <array>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/lowering.h"
@@ -419,8 +420,57 @@ class ProgramBuilder : public isa::InstSink
     void finish();
 
   private:
+    /** One remembered beginPhase() pointer and the index it named. */
+    struct PhaseHint
+    {
+        std::uintptr_t name = 0;
+        u32 idx = 0;
+    };
+    static constexpr int kPhaseHintBits = 6;
+
+    /**
+     * Open-addressing index over an append-only array owned by the
+     * caller: each cell holds an array index + 1 (0 = empty), and the
+     * power-of-two table stays under half full.  A key's first cell is
+     * the top bits of its hash times 2^64/phi (Fibonacci hashing), so
+     * callers' hashes need to be distinct, not well mixed.  Interning
+     * runs once per operand and per instruction, so a hit costs a
+     * multiply and one or two compares, and a miss allocates nothing
+     * until the table doubles.
+     */
+    class FlatIndex
+    {
+      public:
+        explicit FlatIndex(int bits)
+            : cells_(std::size_t{1} << bits, 0), shift_(64 - bits)
+        {
+        }
+
+        /** Entries the table holds before it next doubles. */
+        std::size_t capacity() const { return cells_.size() / 2; }
+
+        /**
+         * The index of the entry hashing to `hash` that `same(k)`
+         * accepts, or `size` — the index the caller must append the new
+         * entry at — after recording it.  `rehash(k)` re-hashes entry
+         * k < size when the table doubles.
+         */
+        template <typename Same, typename Rehash>
+        u32 findOrAdd(u64 hash, u32 size, Same &&same, Rehash &&rehash);
+
+      private:
+        /** The cell holding the entry `same` accepts, else the empty
+         *  cell ending the probe sequence. */
+        template <typename Same>
+        std::size_t probe(u64 hash, Same &&same) const;
+
+        std::vector<u32> cells_;
+        int shift_; ///< 64 - log2(cells_.size())
+    };
+
     u32 slotFor(u64 id);
     u32 shapeFor(const CostShape &shape);
+    u32 phaseIndex(const char *name);
 
     Program *out_;
     // The body's arrays, unshared for the builder's lifetime.
@@ -428,11 +478,16 @@ class ProgramBuilder : public isa::InstSink
     std::vector<BcBuf> &bufs_;
     std::vector<PhaseEvent> &events_;
     std::vector<CostShape> &shapes_;
-    std::unordered_map<u64, u32> slots_;
-    std::unordered_map<std::string, u32> phaseNameIdx_;
-    /// Open-addressing shape interner: slot -> shape index + 1 (0 =
-    /// empty); power-of-two size kept under half full.
-    std::vector<u32> shapeIdx_;
+    std::vector<u64> slotIds_; ///< buffer id of each scratchpad slot
+    FlatIndex slotIdx_;
+    FlatIndex shapeIdx_;
+    FlatIndex phaseIdx_; ///< over out_->phaseNames
+    /// Pointer-keyed cache in front of phaseIdx_: lowerings pass the
+    /// same literal for every op of a kind, so most lookups end at one
+    /// pointer compare plus the content check a hit still needs (the
+    /// InstSink::beginPhase contract lets a dead name's address come
+    /// back with other text).
+    std::array<PhaseHint, std::size_t{1} << kPhaseHintBits> phaseHints_{};
     // Open repeat offer (beginRepeat..endRepeat window).
     u64 repeatTrips_ = 0;
     u64 repeatStart_ = 0;      ///< code.size() at beginRepeat

@@ -114,7 +114,7 @@ Lowering::finishStream()
 
 void
 Lowering::emit(HwOp op, u32 logDegree, u32 batch, u64 words, u64 work,
-               std::vector<BufferRef> buffers)
+               std::initializer_list<BufferRef> buffers)
 {
     HwInst inst;
     inst.op = op;
@@ -122,7 +122,7 @@ Lowering::emit(HwOp op, u32 logDegree, u32 batch, u64 words, u64 work,
     inst.batch = batch;
     inst.words = words;
     inst.work = work;
-    inst.buffers = std::move(buffers);
+    inst.buffers = {buffers.begin(), buffers.size()};
     sink_->issue(inst);
 }
 

@@ -16,6 +16,7 @@
 #ifndef UFC_COMPILER_LOWERING_H
 #define UFC_COMPILER_LOWERING_H
 
+#include <initializer_list>
 #include <memory>
 
 #include "isa/inst.h"
@@ -157,9 +158,11 @@ class Lowering
     void switchExtract(const trace::TraceOp &op);
     void switchRepack(const trace::TraceOp &op);
 
-    // Emission helpers.
+    // Emission helpers.  `buffers` lives on the caller's stack until
+    // the sink's issue() returns, which is as long as HwInst::buffers
+    // must stay valid: no operand list touches the heap.
     void emit(isa::HwOp op, u32 logDegree, u32 batch, u64 words, u64 work,
-              std::vector<isa::BufferRef> buffers = {});
+              std::initializer_list<isa::BufferRef> buffers = {});
 
     /**
      * Emit `body` `trips` times.  When the sink folds repeats

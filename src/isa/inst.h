@@ -14,7 +14,7 @@
 #ifndef UFC_ISA_INST_H
 #define UFC_ISA_INST_H
 
-#include <vector>
+#include <span>
 
 #include "common/types.h"
 
@@ -113,7 +113,10 @@ struct HwInst
     u32 batch = 1;     ///< polynomials processed together (packing)
     u64 words = 0;     ///< machine words read per operand stream
     u64 work = 0;      ///< op-specific work units (butterflies, MACs, ...)
-    std::vector<BufferRef> buffers;
+    /// Operand regions, in operand order: a non-owning view of the
+    /// issuer's array, valid only for the InstSink::issue() call that
+    /// receives it.  Sinks that keep operands past the call copy them.
+    std::span<const BufferRef> buffers;
 };
 
 /** Convenience: instruction stream consumer interface. */
@@ -127,8 +130,10 @@ class InstSink
      * Optional phase markers bracketing a region of the instruction
      * stream (a high-level trace op, a key switch, a blind rotation).
      * Phases nest strictly; sinks that don't track them inherit these
-     * no-ops.  `name` must outlive the sink's run (callers pass string
-     * literals or the stable mnemonics from trace/serialize.h).
+     * no-ops.  `name` is valid for the call only (a streamed region
+     * marker's name dies with the marker); sinks copy what they keep.
+     * A sink may remember the pointer as a lookup hint, but two calls
+     * with equal pointers need not carry equal names.
      */
     virtual void beginPhase(const char *name) { (void)name; }
     virtual void endPhase() {}

@@ -360,7 +360,8 @@ TEST(AnalysisSink, TransientBufferDataflow)
     inst.op = isa::HwOp::Ewma;
     inst.batch = 1;
     inst.words = 16;
-    inst.buffers = {both, readFirst, writeOnly};
+    const isa::BufferRef operands[] = {both, readFirst, writeOnly};
+    inst.buffers = operands;
     sink.issue(inst);
     sink.finish();
     const auto rules = rulesIn(rep);
@@ -376,10 +377,12 @@ TEST(AnalysisSink, TransientBufferDataflow)
     producer.batch = 1;
     producer.words = 16;
     isa::BufferRef w = writeOnly;
-    producer.buffers = {w};
+    producer.buffers = {&w, 1};
     sink2.issue(producer);
     isa::HwInst consumer = producer;
-    consumer.buffers[0].write = false;
+    isa::BufferRef r = w;
+    r.write = false;
+    consumer.buffers = {&r, 1};
     sink2.issue(consumer);
     sink2.finish();
     EXPECT_TRUE(ok.empty()) << ok.toText();

@@ -450,10 +450,11 @@ TEST(BytecodeProgram, OnePassAnalyzeLoweredStaysCleanOnBuiltins)
 
 TEST(BytecodeProgram, CompileReservesBodyExactly)
 {
-    // compileTrace's sizing pre-pass reserves the record and operand
-    // arrays exactly; the slack that growth by doubling would leave is
-    // what keeps a compile-bound sweep's peak RSS down.  edit() does not
-    // copy here: a freshly compiled Program is its arrays' only owner.
+    // compileTrace's sizing pre-pass reserves the record, operand and
+    // phase-event arrays exactly; the slack that growth by doubling
+    // would leave is what keeps a compile-bound sweep's peak RSS down.
+    // edit() does not copy here: a freshly compiled Program is its
+    // arrays' only owner.
     std::size_t checked = 0;
     for (const runner::Job &job : runner::allJobs(runner::paperSweeps())) {
         compiler::Program program = job.model->compile(*job.trace);
@@ -461,8 +462,10 @@ TEST(BytecodeProgram, CompileReservesBodyExactly)
             continue;
         const auto &code = program.code.edit();
         const auto &bufs = program.bufs.edit();
+        const auto &events = program.phaseEvents.edit();
         EXPECT_EQ(code.capacity(), code.size()) << job.label;
         EXPECT_EQ(bufs.capacity(), bufs.size()) << job.label;
+        EXPECT_EQ(events.capacity(), events.size()) << job.label;
         ++checked;
     }
     EXPECT_GT(checked, 0u);

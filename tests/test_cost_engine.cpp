@@ -81,7 +81,7 @@ TEST(CycleEngine, PrefetchWindowBoundsMemoryRunahead)
         inst.words = 16384;
         inst.work = 16384;
         isa::BufferRef buf{static_cast<u64>(i), 4ULL << 20, false, false};
-        inst.buffers = {buf};
+        inst.buffers = {&buf, 1};
         narrow.issue(inst);
         wide.issue(inst);
     }
@@ -103,7 +103,7 @@ TEST(CycleEngine, StreamingOperandsChargeEveryUse)
     key.id = 42;
     key.bytes = 1 << 20;
     key.streaming = true;
-    inst.buffers = {key};
+    inst.buffers = {&key, 1};
     for (int i = 0; i < 10; ++i)
         engine.issue(inst);
     const auto stats = engine.finish();
@@ -121,7 +121,7 @@ TEST(CycleEngine, CachedOperandsChargeOnce)
     isa::BufferRef key;
     key.id = 42;
     key.bytes = 1 << 20;
-    inst.buffers = {key};
+    inst.buffers = {&key, 1};
     for (int i = 0; i < 10; ++i)
         engine.issue(inst);
     const auto stats = engine.finish();

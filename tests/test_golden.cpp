@@ -13,7 +13,12 @@
  *    AcceleratorModel::runTraceIr gives the batch's result bit for bit,
  *    so the one product engine, the runner's ProgramCache and the DSE
  *    points it re-costs all agree with an independent per-machine
- *    lowering.
+ *    lowering;
+ *  - the lowered stream: an FNV-1a digest of every instruction, operand,
+ *    phase marker and repeat offer the lowering emits for the builtin
+ *    traces under the UFC, SHARP and Strix lowering options, so a change
+ *    to how instructions are built or passed is pinned one layer below
+ *    the simulated results.
  *
  * Each line holds the job label, then total cycles, HBM bytes, energy
  * and the per-opcode cycles as hex floats, so any change to a simulated
@@ -39,9 +44,12 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "compiler/lowering.h"
 #include "runner/claims.h"
 #include "runner/runner.h"
 #include "runner/sweeps.h"
+#include "sim/accelerator.h"
+#include "workloads/workloads.h"
 
 namespace ufc {
 namespace {
@@ -302,6 +310,98 @@ TEST(Golden, ClaimsNeedTheirWholeSweep)
         EXPECT_TRUE(std::isnan(v.sim)) << v.claim->id;
         EXPECT_FALSE(v.inBand.has_value()) << v.claim->id;
     }
+}
+
+/**
+ * Digests the stream a lowering hands its sink: every HwInst field,
+ * every operand (id, bytes, flags), every phase begin (with its name) and
+ * end, and every repeat offer, which it accepts like the ProgramBuilder
+ * so TFHE bodies are seen folded.
+ */
+class StreamDigestSink final : public isa::InstSink
+{
+  public:
+    u64 digest = trace::detail::kFnvOffset;
+    u64 records = 0;
+
+    void
+    issue(const isa::HwInst &inst) override
+    {
+        mix(1);
+        mix(static_cast<u64>(inst.op));
+        mix(inst.logDegree);
+        mix(inst.batch);
+        mix(inst.words);
+        mix(inst.work);
+        mix(inst.buffers.size());
+        for (const isa::BufferRef &ref : inst.buffers) {
+            mix(ref.id);
+            mix(ref.bytes);
+            mix((ref.write ? 1u : 0u) | (ref.transient ? 2u : 0u) |
+                (ref.streaming ? 4u : 0u));
+        }
+        ++records;
+    }
+
+    void
+    beginPhase(const char *name) override
+    {
+        mix(2);
+        trace::detail::fnvMix(digest, std::string(name ? name : ""));
+    }
+
+    void endPhase() override { mix(3); }
+
+    bool
+    beginRepeat(u64 trips) override
+    {
+        mix(4);
+        mix(trips);
+        return true;
+    }
+
+    void endRepeat() override { mix(5); }
+
+  private:
+    void mix(u64 v) { trace::detail::fnvMix(digest, v); }
+};
+
+TEST(Golden, LoweredStreamDigest)
+{
+    // Each chip lowers the builtin traces it admits: UFC all of them,
+    // SHARP the CKKS suite, Strix the TFHE suite.
+    const auto cp = ckks::CkksParams::c1();
+    const auto tp = tfhe::TfheParams::t1();
+    std::vector<trace::Trace> ckks = workloads::ckksSuite(cp);
+    std::vector<trace::Trace> tfhe = workloads::tfheSuite(tp);
+    std::vector<trace::Trace> all = ckks;
+    all.insert(all.end(), tfhe.begin(), tfhe.end());
+    all.push_back(workloads::hybridKnn(cp, tp));
+
+    const sim::UfcModel ufcm;
+    const sim::SharpModel sharp;
+    const sim::StrixModel strix;
+    const std::vector<std::pair<const sim::ChipModel *,
+                                const std::vector<trace::Trace> *>>
+        cases = {{&ufcm, &all}, {&sharp, &ckks}, {&strix, &tfhe}};
+
+    StreamDigestSink sink;
+    std::ostringstream perCase;
+    for (const auto &[model, traces] : cases) {
+        for (const trace::Trace &tr : *traces) {
+            compiler::Lowering lowering(&tr, model->loweringOptions(),
+                                        &sink);
+            lowering.run();
+            perCase << model->name() << "/" << tr.name << " " << std::hex
+                    << sink.digest << std::dec << " " << sink.records
+                    << "\n";
+        }
+    }
+    EXPECT_EQ(sink.records, 1359350u);
+    EXPECT_EQ(sink.digest, 0x0b81629edf1c5aa0ULL)
+        << std::hex << sink.digest << std::dec << " after " << sink.records
+        << " records\n"
+        << perCase.str();
 }
 
 } // namespace

@@ -430,7 +430,7 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
     ref.id = 1;
     ref.bytes = u64(8) << 16;
     ref.streaming = true; // pure Stream body: foldable
-    inst.buffers.push_back(ref);
+    inst.buffers = {&ref, 1};
 
     const auto build = [&](u64 trips,
                            bool &accepted) -> compiler::Program {

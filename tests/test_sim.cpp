@@ -80,7 +80,7 @@ TEST(CycleEngine, MemoryBoundStreamSaturatesHbm)
         inst.work = 1024;
         isa::BufferRef huge{1000 + static_cast<u64>(i), 1024ULL * 1024,
                             false, false};
-        inst.buffers = {huge};
+        inst.buffers = {&huge, 1};
         engine.issue(inst);
     }
     auto stats = engine.finish();

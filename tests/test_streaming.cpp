@@ -188,11 +188,73 @@ TEST(TraceStreaming, ReaderMemoryBoundedByChunkSize)
     EXPECT_EQ(viaStream.toJson(), viaWhole.toJson());
 }
 
+/** `src`'s ops wrapped in workload regions that cycle through three
+ *  names. */
+Trace
+withRegions(const Trace &src)
+{
+    static const char *const kNames[] = {"region_alpha", "region_bravo",
+                                         "region_charlie"};
+    Trace tr = src;
+    tr.name = src.name + "-regions";
+    tr.ops.clear();
+    tr.phases.clear();
+    for (std::size_t i = 0; i < src.ops.size(); ++i) {
+        if (i % 2 == 0)
+            tr.beginPhase(kNames[(i / 2) % 3]);
+        tr.ops.push_back(src.ops[i]);
+        if (i % 2 == 1 || i + 1 == src.ops.size())
+            tr.endPhase();
+    }
+    return tr;
+}
+
+/**
+ * canon(tr) with every phase line moved to just before the op it
+ * precedes, a layout the chunk protocol accepts.  Streamed this way,
+ * each marker is queued, fired and freed before the next one parses,
+ * so later markers reuse the freed markers' storage: a name pointer a
+ * sink saw before comes back carrying another name.
+ */
+std::string
+interleaved(const Trace &tr)
+{
+    std::istringstream in(canon(tr));
+    std::string head, tail;
+    std::vector<std::pair<u64, std::string>> phases; // (opIndex, line)
+    std::vector<std::string> ops;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("phase ", 0) == 0) {
+            std::istringstream fields(line);
+            std::string word, kind;
+            u64 at = 0;
+            fields >> word >> kind >> at;
+            phases.emplace_back(at, line + "\n");
+        } else if (line.rfind("op ", 0) == 0) {
+            ops.push_back(line + "\n");
+        } else if (ops.empty() && phases.empty()) {
+            head += line + "\n";
+        } else {
+            tail += line + "\n";
+        }
+    }
+    std::string out = head;
+    std::size_t next = 0;
+    for (u64 i = 0; i < ops.size(); ++i) {
+        while (next < phases.size() && phases[next].first <= i)
+            out += phases[next++].second;
+        out += ops[i];
+    }
+    for (; next < phases.size(); ++next)
+        out += phases[next].second;
+    return out + tail;
+}
+
 TEST(TraceStreaming, ModelCompileStreamMatchesCompile)
 {
     // Every model's compileStream must produce the same Program its
     // whole-trace compile() does (disassembly is a full structural
-    // dump).
+    // dump, phase names included), at every chunk size.
     const auto cp = ckks::CkksParams::c1();
     const auto tp = tfhe::TfheParams::t4();
     struct Case
@@ -210,14 +272,34 @@ TEST(TraceStreaming, ModelCompileStreamMatchesCompile)
     cases.push_back({std::make_unique<sim::UfcModel>(),
                      workloads::hybridKnn(cp, tp, 64)});
     for (const Case &c : cases) {
-        const std::string text = canon(c.tr);
-        std::istringstream is(text);
-        std::ostringstream viaStream;
-        compiler::disassemble(c.model->compileStream(is), viaStream);
         std::ostringstream viaWhole;
         compiler::disassemble(c.model->compile(c.tr), viaWhole);
+        for (const std::size_t chunk : kChunkSizes) {
+            std::istringstream is(canon(c.tr));
+            std::ostringstream viaStream;
+            compiler::disassemble(c.model->compileStream(is, chunk),
+                                  viaStream);
+            EXPECT_EQ(viaStream.str(), viaWhole.str())
+                << c.model->name() << "/" << c.tr.name << " at chunk "
+                << chunk;
+        }
+    }
+
+    // Region names that die as they fire (see interleaved()).
+    const sim::SharpModel sharp;
+    const Trace regions = withRegions(workloads::helr(cp, 3));
+    ASSERT_GE(regions.phases.size(), 30u);
+    const std::string text = interleaved(regions);
+    std::istringstream back(text);
+    ASSERT_EQ(canon(trace::readTrace(back)), canon(regions));
+    std::ostringstream viaWhole;
+    compiler::disassemble(sharp.compile(regions), viaWhole);
+    for (const std::size_t chunk : kChunkSizes) {
+        std::istringstream is(text);
+        std::ostringstream viaStream;
+        compiler::disassemble(sharp.compileStream(is, chunk), viaStream);
         EXPECT_EQ(viaStream.str(), viaWhole.str())
-            << c.model->name() << "/" << c.tr.name;
+            << regions.name << " interleaved, at chunk " << chunk;
     }
 }
 

@@ -23,7 +23,20 @@ using trace::Trace;
 /** Instruction sink that records everything. */
 struct RecordingSink : public isa::InstSink
 {
-    void issue(const isa::HwInst &inst) override { insts.push_back(inst); }
+    RecordingSink() = default;
+    // A copy's instructions would still view the original's operands.
+    RecordingSink(const RecordingSink &) = delete;
+    RecordingSink &operator=(const RecordingSink &) = delete;
+
+    void
+    issue(const isa::HwInst &inst) override
+    {
+        // HwInst::buffers views the issuer's operands for this call
+        // only: keep a copy and point the recorded instruction at it.
+        operands.emplace_back(inst.buffers.begin(), inst.buffers.end());
+        insts.push_back(inst);
+        insts.back().buffers = operands.back();
+    }
 
     u64
     countOp(isa::HwOp op) const
@@ -57,6 +70,9 @@ struct RecordingSink : public isa::InstSink
     }
 
     std::vector<isa::HwInst> insts;
+    /// Owned operand copies, one per recorded instruction (a moved
+    /// vector keeps its elements in place, so the views stay valid).
+    std::vector<std::vector<isa::BufferRef>> operands;
 };
 
 Trace
