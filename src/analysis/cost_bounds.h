@@ -13,14 +13,13 @@
  * for every prefetch window.  The derivation leans on three engine
  * facts (sim/bc_engine.cpp):
  *
- *   1. totalCycles telescopes to the final compute clock, and each
- *      instruction advances it by wait + computeCycles + fillCycles,
- *      so  sum(compute+fill) <= totalCycles  and, because an
- *      instruction's memory phase can start no later than the previous
- *      instruction's completion,  totalCycles <= sum(compute+fill) +
- *      sum(memCycles).
+ *   1. totalCycles is the final compute clock, and each instruction
+ *      advances it by wait + computeTicks + fillTicks, so
+ *      sum(compute+fill) <= totalCycles  and, because an instruction's
+ *      memory phase can start no later than the previous instruction's
+ *      completion,  totalCycles <= sum(compute+fill) + sum(memTicks).
  *   2. Memory phases serialize on the HBM clock, so totalCycles is
- *      also >= the total memory cycles.
+ *      also >= the total memory time.
  *   3. HBM traffic decomposes into exact streamed bytes plus
  *      scratchpad misses and dirty writebacks.  When every slot's
  *      maximum footprint fits the scratchpad simultaneously, the LRU
@@ -32,9 +31,12 @@
  *
  * Bounds assume a structurally valid Program (verifyProgram-clean):
  * folded loop bodies are all-Stream, so their replay arithmetic is
- * exact under the loop's trip weight.  A tiny relative guard band
- * (kGuard) absorbs floating-point reassociation between this
- * analyzer's accumulation order and the engine's.
+ * exact under the loop's trip weight.  Everything is summed as the
+ * engine sums it, in integer ticks and integer byte counts, so no
+ * guard band is needed: compute, fill, streamed traffic and the HBM
+ * bytes are exact, a Mem instruction's lower memory time is rounded to
+ * ticks exactly as the engine rounds its own, and the upper memory
+ * time adds one tick per Mem instruction for that rounding.
  */
 
 #ifndef UFC_ANALYSIS_COST_BOUNDS_H
@@ -48,10 +50,6 @@ struct Program; // compiler/bytecode.h
 } // namespace compiler
 
 namespace analysis {
-
-/** Relative guard band applied to the final bounds (lower shrinks,
- *  upper grows) so FP reassociation cannot flip the invariant. */
-inline constexpr double kBoundsGuard = 1e-9;
 
 /** Static bounds for one Program (parts summed for composed ones). */
 struct CostBounds
@@ -69,8 +67,8 @@ struct CostBounds
     /// prints; composed Programs report the largest part.
     double peakLiveSlotBytes = 0.0;
     /// True when every slot's maximum footprint co-resides in the
-    /// scratchpad, making the HBM bounds exact (hbmLower == hbmUpper up
-    /// to the guard band).  Composed: true only when all parts fit.
+    /// scratchpad, making the HBM bounds exact (hbmLower == hbmUpper).
+    /// Composed: true only when all parts fit.
     bool fits = true;
 
     /** Upper/lower cycle ratio (tightness; 0 when lower is 0). */

@@ -80,7 +80,84 @@ throwMaxCycles(double simCycles, u64 bound, u64 instCount)
                   << " after " << instCount << " instructions");
 }
 
+void
+countSteps(u64 instructions)
+{
+    if (metrics::enabled()) {
+        static metrics::Counter &steps = metrics::counter(
+            "ufc_engine_steps_total",
+            "Dynamic instructions stepped by the execution engine");
+        steps.inc(instructions);
+    }
+}
+
+void
+throwTickRange(const char *what, double cycles)
+{
+    UFC_THROW(SimError, "simulated time leaves the engine's tick range: "
+                            << what << " reaches " << cycles
+                            << " cycles (limit " << fromTicks(kMaxTermTicks)
+                            << " per instruction term, "
+                            << fromTicks(kMaxClockTicks)
+                            << " per run and accumulator)");
+}
+
+u64
+clockLimitTicks(u64 maxCycles)
+{
+    if (maxCycles == 0 || maxCycles >= (kMaxClockTicks >> kTickBits))
+        return kMaxClockTicks;
+    return maxCycles << kTickBits;
+}
+
+void
+throwClockLimit(u64 clockTicks, u64 maxCycles, u64 instCount)
+{
+    if (clockLimitTicks(maxCycles) < kMaxClockTicks)
+        throwMaxCycles(fromTicks(clockTicks), maxCycles, instCount);
+    throwTickRange("the compute clock", fromTicks(clockTicks));
+}
+
 } // namespace detail
+
+RunStats
+TickStats::toRunStats() const
+{
+    RunStats s;
+    u64 total = 0;
+    u64 stalls = 0;
+    u64 fill = 0;
+    for (int i = 0; i < isa::kNumHwOps; ++i) {
+        const Op &t = ops[i];
+        u64 cycles = t.compute;
+        addTicks(cycles, t.stall, "an opcode's cycles");
+        addTicks(cycles, t.fill, "an opcode's cycles");
+        addTicks(total, cycles, "the total cycles");
+        stalls += t.stall;
+        fill += t.fill;
+        OpStats &o = s.opStats[i];
+        o.count = t.count;
+        o.cycles = fromTicks(cycles);
+        o.computeCycles = fromTicks(t.compute);
+        o.stallCycles = fromTicks(t.stall);
+        o.fillCycles = fromTicks(t.fill);
+        o.hbmBytes = t.hbmBytes;
+    }
+    s.totalCycles = fromTicks(total);
+    for (int r = 0; r < isa::kNumResources; ++r)
+        s.busyCycles[r] = fromTicks(busy[r]);
+    s.hbmBytes = hbmBytes;
+    s.hbmBusyCycles = fromTicks(hbmBusy);
+    s.spadHitBytes = spadHitBytes;
+    s.instCount = instCount;
+    s.stalls.hbmBound = fromTicks(hbmBound);
+    s.stalls.dependency = fromTicks(stalls - hbmBound);
+    s.stalls.pipelineFill = fromTicks(fill);
+    s.stalls.spadSpillCycles = fromTicks(spadSpill);
+    s.stalls.spadWritebackBytes = spadWritebackBytes;
+    s.stalls.spadEvictions = spadEvictions;
+    return s;
+}
 
 double
 SpadModel::access(const isa::BufferRef &ref, double &writebackBytes)
@@ -136,10 +213,10 @@ void
 CycleEngine::reset()
 {
     spad_.reset();
-    computeClock_ = 0.0;
-    memClock_ = 0.0;
+    computeClock_ = 0;
+    memClock_ = 0;
     recentComputeDone_.clear();
-    stats_ = RunStats{};
+    stats_ = TickStats{};
 }
 
 void
@@ -152,10 +229,12 @@ CycleEngine::issue(const isa::HwInst &inst)
         stats_.instCount % BytecodeEngine::kDeadlinePollPeriod == 0) {
         detail::countDeadlinePoll();
         if (std::chrono::steady_clock::now() >= hostDeadline_)
-            detail::throwHostDeadline(stats_.instCount, computeClock_);
+            detail::throwHostDeadline(stats_.instCount,
+                                      fromTicks(computeClock_));
     }
 
-    // Memory phase: fetch missing operands, schedule write-backs.
+    // Memory phase: fetch missing operands, schedule write-backs.  Byte
+    // counts are integers, so these double sums are exact.
     double fetchBytes = 0.0;
     double wbBytes = 0.0;
     for (const auto &ref : inst.buffers) {
@@ -166,13 +245,14 @@ CycleEngine::issue(const isa::HwInst &inst)
         if (miss == 0.0 && !ref.write && !ref.transient)
             stats_.spadHitBytes += ref.bytes;
     }
-    const double memCycles =
-        (fetchBytes + wbBytes) / perf_->hbmBytesPerCycle();
+    const double bpc = perf_->hbmBytesPerCycle();
+    const u64 memTicks = toTicks((fetchBytes + wbBytes) / bpc,
+                                 "an instruction's memory time");
 
     // The memory engine is in-order and may run at most `window_`
     // instructions ahead of compute; window <= 0 disables lookahead
     // entirely (the fetch waits for the compute engine to drain).
-    double memStart = memClock_;
+    u64 memStart = memClock_;
     if (window_ <= 0) {
         memStart = std::max(memStart, computeClock_);
     } else if (static_cast<int>(recentComputeDone_.size()) >= window_) {
@@ -180,23 +260,27 @@ CycleEngine::issue(const isa::HwInst &inst)
             memStart,
             recentComputeDone_[recentComputeDone_.size() - window_]);
     }
-    const double memDone = memStart + memCycles;
+    const u64 memDone = memStart + memTicks;
     memClock_ = memDone;
 
     // Compute phase starts when its operands arrived and the datapath is
-    // free.
-    const double computeBefore = computeClock_;
+    // free.  The terms are rounded exactly as compiler::costProgram
+    // rounds them per shape.
     const double cCycles = perf_->computeCycles(inst);
-    const double fill = perf_->pipelineFillCycles();
-    const double start = std::max(computeBefore, memDone);
-    const double done = start + cCycles + fill;
+    const u64 cTicks = toTicks(cCycles, "an instruction's compute time");
+    const u64 fill =
+        toTicks(perf_->pipelineFillCycles(), "the pipeline fill");
+    const u64 computeBefore = computeClock_;
+    const u64 start = std::max(computeBefore, memDone);
+    const u64 done = start + cTicks + fill;
     computeClock_ = done;
 
-    // Simulated-cycle watchdog (RunOptions::maxCycles): a pathological
-    // or runaway instruction stream trips here deterministically.
-    if (maxCycles_ > 0 && computeClock_ > static_cast<double>(maxCycles_))
-        detail::throwMaxCycles(computeClock_, maxCycles_,
-                               stats_.instCount + 1);
+    // Simulated-cycle watchdog (RunOptions::maxCycles) and tick-range
+    // guard: a pathological or runaway instruction stream trips here
+    // deterministically.
+    if (computeClock_ > limit_)
+        detail::throwClockLimit(computeClock_, maxCycles_,
+                                stats_.instCount + 1);
 
     if (window_ > 0) {
         recentComputeDone_.push_back(done);
@@ -206,43 +290,44 @@ CycleEngine::issue(const isa::HwInst &inst)
 
     // Accounting.
     const auto res = perf_->resourceFor(inst);
-    stats_.busyCycles[static_cast<int>(res)] +=
-        cCycles * perf_->laneFraction(inst);
-    stats_.busyCycles[static_cast<int>(isa::Resource::Noc)] +=
-        perf_->nocCycles(inst);
+    addTicks(stats_.busy[static_cast<int>(res)],
+             toTicks(cCycles * perf_->laneFraction(inst),
+                     "an instruction's busy-lane time"),
+             "a resource's busy cycles");
+    addTicks(stats_.busy[static_cast<int>(isa::Resource::Noc)],
+             toTicks(perf_->nocCycles(inst), "an instruction's NoC time"),
+             "a resource's busy cycles");
     stats_.hbmBytes += fetchBytes + wbBytes;
-    stats_.hbmBusyCycles += memCycles;
+    stats_.hbmBusy += memTicks;
     ++stats_.instCount;
 
     // Attribution: the compute engine advances by exactly
-    // wait + cCycles + fill this issue; charge that delta to the opcode
-    // so the per-op table telescopes to the final clock.
-    const double wait = start - computeBefore;
-    OpStats &op = stats_.opStats[static_cast<int>(inst.op)];
+    // wait + cTicks + fill this issue; the opcode's row keeps the three
+    // parts, so the per-op table telescopes to the final clock.
+    const u64 wait = start - computeBefore;
+    TickStats::Op &op = stats_.ops[static_cast<int>(inst.op)];
     ++op.count;
-    op.cycles += wait + cCycles + fill;
-    op.computeCycles += cCycles;
-    op.stallCycles += wait;
-    op.fillCycles += fill;
+    op.compute += cTicks;
+    op.stall += wait;
+    op.fill += fill;
     op.hbmBytes += fetchBytes + wbBytes;
 
     // Stall causes: the part of the wait covered by active transfer time
     // is HBM-bound; the remainder is in-order/prefetch-window dependency
     // delay (the data was fetchable earlier but the engine could not
     // start it sooner).
-    const double hbmOverlap = std::min(wait, memCycles);
-    stats_.stalls.hbmBound += hbmOverlap;
-    stats_.stalls.dependency += wait - hbmOverlap;
-    stats_.stalls.pipelineFill += fill;
-    stats_.stalls.spadWritebackBytes += wbBytes;
-    stats_.stalls.spadSpillCycles += wbBytes / perf_->hbmBytesPerCycle();
+    stats_.hbmBound += std::min(wait, memTicks);
+    stats_.spadWritebackBytes += wbBytes;
+    stats_.spadSpill +=
+        toTicks(wbBytes / bpc, "an instruction's write-back time");
 
     if (timeline_) {
-        if (memCycles > 0)
+        if (memTicks > 0)
             timeline_->addSlice(Timeline::kHbmTrack, isa::opName(inst.op),
-                                memStart, memDone, fetchBytes + wbBytes);
+                                fromTicks(memStart), fromTicks(memDone),
+                                fetchBytes + wbBytes);
         timeline_->addSlice(static_cast<int>(res), isa::opName(inst.op),
-                            start, done);
+                            fromTicks(start), fromTicks(done));
     }
 }
 
@@ -250,33 +335,25 @@ void
 CycleEngine::beginPhase(const char *name)
 {
     if (timeline_)
-        timeline_->beginPhase(name, computeClock_);
+        timeline_->beginPhase(name, fromTicks(computeClock_));
 }
 
 void
 CycleEngine::endPhase()
 {
     if (timeline_)
-        timeline_->endPhase(computeClock_);
+        timeline_->endPhase(fromTicks(computeClock_));
 }
 
 RunStats
 CycleEngine::finish()
 {
-    // totalCycles is *defined* as the fixed-order sum of the per-opcode
-    // attribution table, so "breakdown sums to total" holds exactly
-    // rather than up to floating-point telescoping error.  The sum equals
-    // max(computeClock_, memClock_) up to ulps: compute never finishes
-    // before its own fetch, so computeClock_ >= memClock_, and the
-    // per-issue deltas telescope to computeClock_.
-    double total = 0.0;
-    for (const auto &op : stats_.opStats)
-        total += op.cycles;
-    stats_.totalCycles = total;
-    stats_.stalls.spadEvictions = spad_.evictions();
+    // The per-opcode rows telescope to the final compute clock in exact
+    // integer ticks, so totalCycles (their sum) is that clock.
+    stats_.spadEvictions = spad_.evictions();
     if (timeline_)
-        timeline_->closeOpenPhases(computeClock_);
-    return stats_;
+        timeline_->closeOpenPhases(fromTicks(computeClock_));
+    return stats_.toRunStats();
 }
 
 } // namespace sim
