@@ -1,15 +1,19 @@
 /**
  * @file
- * Compile microbenchmark: lowering plus bytecode building of the
- * Fig. 10a C1 CKKS traces on UFC and on SHARP, the job the ckks_dse DSE
- * repeats for every design point.  Each row reports
+ * Compile and execute microbenchmarks over the Fig. 10a CKKS traces on
+ * UFC and on SHARP, the jobs the ckks_dse DSE repeats for every design
+ * point.
  *
+ * BM_Compile (C1 traces): lowering plus bytecode building.
  *   ns_per_record      host time per compiled BcInst record;
  *   allocs_per_record  heap allocations (operator new calls) per record,
  *                      counted by a global operator new local to this
  *                      binary.
+ * BM_Execute (C1 and C2 Programs, compiled once): the bytecode engine.
+ *   ns_per_inst        host time per dynamic instruction;
+ *   allocs_per_inst    heap allocations per dynamic instruction.
  *
- * The allocation count is deterministic, so it can gate a build:
+ * The allocation counts are deterministic, so they can gate a build:
  *
  *   ./build/bench/micro_compile --benchmark_min_time=0.01 \
  *       --benchmark_format=json
@@ -21,6 +25,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -92,6 +97,26 @@ BM_Compile(benchmark::State &state, const sim::AcceleratorModel *model,
         static_cast<double>(allocs() - before) / total;
 }
 
+void
+BM_Execute(benchmark::State &state, const sim::AcceleratorModel *model,
+           std::shared_ptr<const compiler::Program> program)
+{
+    const double insts = static_cast<double>(program->totalInsts());
+    const unsigned long long before = allocs();
+    const auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        sim::RunResult r = model->execute(*program);
+        benchmark::DoNotOptimize(r.stats.totalCycles);
+    }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    const double total = insts * static_cast<double>(state.iterations());
+    state.counters["insts"] = insts;
+    state.counters["ns_per_inst"] = elapsed.count() / total;
+    state.counters["allocs_per_inst"] =
+        static_cast<double>(allocs() - before) / total;
+}
+
 } // namespace
 
 int
@@ -100,15 +125,27 @@ main(int argc, char **argv)
     const sim::UfcModel ufcm;
     const sim::SharpModel sharp;
     const sim::AcceleratorModel *models[] = {&ufcm, &sharp};
-    for (trace::Trace &tr : workloads::ckksSuite(ckks::CkksParams::c1())) {
-        const auto shared =
-            std::make_shared<const trace::Trace>(std::move(tr));
-        for (const sim::AcceleratorModel *model : models) {
-            benchmark::RegisterBenchmark(
-                ("BM_Compile/" + model->name() + "/" + shared->name)
-                    .c_str(),
-                BM_Compile, model, shared)
-                ->Unit(benchmark::kMillisecond);
+    for (const auto &[set, params] :
+         {std::pair{"C1", ckks::CkksParams::c1()},
+          std::pair{"C2", ckks::CkksParams::c2()}}) {
+        for (trace::Trace &tr : workloads::ckksSuite(params)) {
+            const auto shared =
+                std::make_shared<const trace::Trace>(std::move(tr));
+            for (const sim::AcceleratorModel *model : models) {
+                const std::string row =
+                    model->name() + "/" + set + "/" + shared->name;
+                if (std::string(set) == "C1")
+                    benchmark::RegisterBenchmark(
+                        ("BM_Compile/" + model->name() + "/" + shared->name)
+                            .c_str(),
+                        BM_Compile, model, shared)
+                        ->Unit(benchmark::kMillisecond);
+                benchmark::RegisterBenchmark(
+                    ("BM_Execute/" + row).c_str(), BM_Execute, model,
+                    std::make_shared<const compiler::Program>(
+                        model->compile(*shared)))
+                    ->Unit(benchmark::kMillisecond);
+            }
         }
     }
     benchmark::Initialize(&argc, argv);

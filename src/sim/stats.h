@@ -32,8 +32,12 @@
  *   breakdown.stalls.*    stall-cause decomposition of totalCycles
  *   breakdown.energy.*    static / HBM / dynamic energy split
  *   breakdown.per_op.<mnemonic>.*   per-opcode attribution table
- * Invariants maintained by the cycle engine:
- *   totalCycles == sum over opcodes of opStats[i].cycles     (exactly)
+ * Invariants maintained by the cycle engine, exactly (`==` on the
+ * doubles): both engines keep cycles as integer ticks of 2^-16 cycle
+ * (sim/engine.h) and derive the left-hand sides below from the
+ * right-hand terms before converting, and a tick count below 2^53
+ * converts to a double, and sums with others, without rounding:
+ *   totalCycles == sum over opcodes of opStats[i].cycles
  *   opStats[i].cycles == computeCycles + stallCycles + fillCycles (per op)
  *   stalls.hbmBound + stalls.dependency == sum of stallCycles
  *   stalls.pipelineFill == sum of fillCycles

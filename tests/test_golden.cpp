@@ -9,6 +9,8 @@
  *    rendered table equals the block EXPERIMENTS.md embeds between its
  *    paper-claims markers;
  *  - the claims reproduce perfbench's paper_err;
+ *  - the RunStats invariants of sim/stats.h hold with `==` on every
+ *    job;
  *  - the reference engine: every job re-run through
  *    AcceleratorModel::runTraceIr gives the batch's result bit for bit,
  *    so the one product engine, the runner's ProgramCache and the DSE
@@ -192,6 +194,34 @@ TEST(Golden, PaperSweepMatchesReferenceEngine)
         sim::RunResult bc = batch.results[i];
         bc.hostSeconds = 0.0;
         EXPECT_EQ(bc.toJson(), reference[i]) << jobs[i].label;
+    }
+}
+
+TEST(Golden, PaperSweepStatsInvariantsHoldExactly)
+{
+    // The RunStats invariants of sim/stats.h, with `==`: the engines sum
+    // integer ticks, so no tolerance is needed on any of the 150 jobs,
+    // composed ones included.
+    const std::vector<runner::Job> &jobs = paperRun().jobs;
+    const runner::BatchResult &batch = paperRun().batch;
+    ASSERT_TRUE(batch.allOk());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const sim::RunStats &s = batch.results[i].stats;
+        double cycles = 0.0;
+        double stall = 0.0;
+        double fill = 0.0;
+        for (const sim::OpStats &o : s.opStats) {
+            EXPECT_EQ(o.cycles,
+                      o.computeCycles + o.stallCycles + o.fillCycles)
+                << jobs[i].label;
+            cycles += o.cycles;
+            stall += o.stallCycles;
+            fill += o.fillCycles;
+        }
+        EXPECT_EQ(s.totalCycles, cycles) << jobs[i].label;
+        EXPECT_EQ(s.stalls.hbmBound + s.stalls.dependency, stall)
+            << jobs[i].label;
+        EXPECT_EQ(s.stalls.pipelineFill, fill) << jobs[i].label;
     }
 }
 

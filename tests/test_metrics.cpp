@@ -585,6 +585,34 @@ TEST_F(MetricsTest, RunOneCountsAndTimesEveryJob)
               kJobs);
 }
 
+TEST_F(MetricsTest, EngineStepsCountEveryDynamicInstruction)
+{
+    // ufc_engine_steps_total is recorded once per engine run with the
+    // run's instCount, so over a batch of distinct jobs (no run-memo
+    // hit) it is the sum of the results' instruction counts.
+    const auto ufcm = std::make_shared<sim::UfcModel>();
+    const auto sharp = std::make_shared<sim::SharpModel>();
+    std::vector<runner::Job> jobs;
+    jobs.push_back({"knn", ufcm,
+                    std::make_shared<trace::Trace>(smallHybridTrace()),
+                    RunOptions{}, ""});
+    jobs.push_back({"pbs", ufcm,
+                    std::make_shared<trace::Trace>(workloads::pbsThroughput(
+                        tfhe::TfheParams::t1(), 64)),
+                    RunOptions{}, ""});
+    jobs.push_back({"helr", sharp,
+                    std::make_shared<trace::Trace>(
+                        workloads::helr(ckks::CkksParams::c2(), 2)),
+                    RunOptions{}, ""});
+    const runner::BatchResult batch = runner::ExperimentRunner().runAll(jobs);
+    ASSERT_TRUE(batch.allOk());
+    u64 insts = 0;
+    for (const sim::RunResult &r : batch.results)
+        insts += r.stats.instCount;
+    EXPECT_GT(insts, 0u);
+    EXPECT_EQ(metrics::counter("ufc_engine_steps_total").value(), insts);
+}
+
 TEST_F(MetricsTest, BatchReportEmbedsMetricsBlockOnlyWhenOn)
 {
     const auto model = std::make_shared<sim::UfcModel>();

@@ -163,20 +163,19 @@ TEST(Observability, PerOpcodeCyclesSumToTotalExactly)
         workloads::ckksBootstrapping(ckks::CkksParams::c2());
     const auto tfheTr =
         workloads::pbsThroughput(tfhe::TfheParams::t1(), 32);
-    // Exact by construction: finish() defines totalCycles as this sum.
-    // Holds for every single-engine machine (the baselines only accept
-    // their own scheme's operations).
+    // Exact by construction: the engine sums the per-op rows in integer
+    // ticks.  Holds for every single-engine machine (the baselines only
+    // accept their own scheme's operations).
     for (const RunResult &r :
          {sim::UfcModel().run(tr), sim::SharpModel().run(ckksTr),
           sim::StrixModel().run(tfheTr)}) {
         EXPECT_EQ(opCycleSum(r.stats), r.stats.totalCycles) << r.machine;
         EXPECT_GT(r.stats.totalCycles, 0.0) << r.machine;
     }
-    // The composed machine merges two engines' tables; the reordered sum
-    // may differ by ulps but no more.
+    // The composed machine merges two engines' tables: sums of whole
+    // ticks, exact in a double, so the reordered sum is still equal.
     const RunResult c = sim::ComposedModel().run(tr);
-    EXPECT_NEAR(opCycleSum(c.stats), c.stats.totalCycles,
-                1e-9 * c.stats.totalCycles);
+    EXPECT_EQ(opCycleSum(c.stats), c.stats.totalCycles);
 }
 
 TEST(Observability, PerOpRowsDecomposeAndStallsBalance)
@@ -187,11 +186,9 @@ TEST(Observability, PerOpRowsDecomposeAndStallsBalance)
     double stallSum = 0.0, fillSum = 0.0;
     u64 countSum = 0;
     for (const auto &o : r.stats.opStats) {
-        // Each row: cycles = compute + stall + fill (accumulated in the
-        // same order per instruction, so equality is near-exact).
-        EXPECT_NEAR(o.cycles,
-                    o.computeCycles + o.stallCycles + o.fillCycles,
-                    1e-6 * std::max(1.0, o.cycles));
+        // Each row: cycles = compute + stall + fill, exactly (integer
+        // ticks, converted to doubles without rounding).
+        EXPECT_EQ(o.cycles, o.computeCycles + o.stallCycles + o.fillCycles);
         EXPECT_GE(o.stallCycles, 0.0);
         stallSum += o.stallCycles;
         fillSum += o.fillCycles;
@@ -199,10 +196,9 @@ TEST(Observability, PerOpRowsDecomposeAndStallsBalance)
     }
     EXPECT_EQ(countSum, r.stats.instCount);
     // Stall causes partition the waits; fill matches the per-op fill.
-    EXPECT_NEAR(r.stats.stalls.hbmBound + r.stats.stalls.dependency,
-                stallSum, 1e-6 * std::max(1.0, stallSum));
-    EXPECT_NEAR(r.stats.stalls.pipelineFill, fillSum,
-                1e-6 * std::max(1.0, fillSum));
+    EXPECT_EQ(r.stats.stalls.hbmBound + r.stats.stalls.dependency,
+              stallSum);
+    EXPECT_EQ(r.stats.stalls.pipelineFill, fillSum);
     EXPECT_GE(r.stats.stalls.hbmBound, 0.0);
     EXPECT_GE(r.stats.stalls.dependency, 0.0);
     // The hybrid workload misses in the scratchpad, so stall accounting
